@@ -1,13 +1,19 @@
 """Embedding search and the power-index machinery built on it.
 
-The generic oracle maps pattern vertices (descending degree, ties by
-identifier) into a power graph by backtracking over bitset candidate rows.
-Interchangeable pattern vertices (twins) get increasing images, which cuts
-the search space without losing completeness, so an exhausted search is a
-proof that no embedding exists.  On top of the oracle sit the closed-form
-index for complete graphs, the bipartite criticality criterion with its
-constructive embedding, optimal-group classification, and catalog-relative
-index search for arbitrary patterns.
+The generic oracle, ``embeds``, never builds the host power graph.  Two
+elements are adjacent in it exactly when the cyclic subgroups they
+generate are nested (Feng, Ma & Wang, Eur. J. Combin. 43, 2015), so it
+is the comparability graph of the host's cyclic classes with each class
+blown up to a clique.  The search therefore assigns pattern vertices to
+classes, within each class's capacity, on an explicit stack with forward
+checking of bitset class domains and a Hall count on pattern twins (as
+in the Glasgow Subgraph Solver; McCreesh, Prosser & Trimble, ICGT 2020),
+and lifts a class assignment to elements at the end.  Twins take
+non-decreasing class indices; an exhausted search is still a proof that
+no embedding exists (the argument is in ``embeds``).  On top of the
+oracle sit the closed-form index for complete graphs, the bipartite
+criticality criterion with its constructive embedding, optimal-group
+classification, and catalog-relative index search for arbitrary patterns.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import SimpleGraph, complete_bipartite, power_graph
+from .graphs import SimpleGraph, _bits, complete_bipartite, power_graph
 from .groups import (
+    CyclicClass,
     Group,
     catalog_for_order,
     construct_group,
@@ -80,110 +87,156 @@ def check_embedding(pattern: SimpleGraph, host: SimpleGraph,
     return all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges())
 
 
-def _twin_classes(pattern: SimpleGraph) -> tuple[list[int], list[int]]:
-    """Group vertices into twin classes; return (predecessor, class root).
+def _twin_classes(pattern: SimpleGraph) -> list[list[int]]:
+    """The pattern's twin classes with two or more members, each listed by
+    increasing id.
 
     Two vertices are twins when they share the same open neighbourhood
     (non-adjacent case) or the same closed neighbourhood (adjacent case);
-    either swap is a pattern automorphism, so forcing increasing images
-    within a class discards only redundant branches.  predecessor[v] is
-    the previous class member by id, or -1.
+    any permutation of a class is a pattern automorphism, so ordering the
+    images of a class's members discards only redundant branches.  No
+    vertex has twins of both kinds: an open twin u and a closed twin w of
+    v would make u a neighbour of w, hence of v, hence of itself.
     """
-    n = pattern.n
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    seen: dict[tuple[str, int], int] = {}
-    for v in range(n):
-        for key in (("o", pattern.adj[v]), ("c", pattern.adj[v] | 1 << v)):
-            if key in seen:
-                ra, rb = find(seen[key]), find(v)
-                if ra != rb:
-                    parent[rb] = ra
-            else:
-                seen[key] = v
-    last: dict[int, int] = {}
-    pred = [-1] * n
-    for v in range(n):
-        root = find(v)
-        pred[v] = last.get(root, -1)
-        last[root] = v
-    return pred, [find(v) for v in range(n)]
+    by_key: dict[tuple[str, int], list[int]] = {}
+    for v, row in enumerate(pattern.adj):
+        by_key.setdefault(("o", row), []).append(v)
+        by_key.setdefault(("c", row | 1 << v), []).append(v)
+    return [members for members in by_key.values() if len(members) > 1]
 
 
 def embeds(pattern: SimpleGraph, g: Group,
            pattern_ref: str = "") -> EmbeddingWitness | None:
     """Search for an embedding of the pattern into the group's power graph.
 
-    Exhaustive backtracking; None is a proof that no embedding exists.
+    The search assigns each pattern vertex a cyclic class of the host
+    (``Group.cyclic_classes``), not an element.  A class assignment is
+    valid when no class takes more vertices than it has members, the two
+    ends of every pattern edge sit in comparable classes (a class is
+    comparable with itself), and every vertex sits in a class whose
+    elements have at least its degree.  A valid assignment lifts to the
+    witness by giving out each class's members in ascending order.
+
+    None is a proof that no embedding exists:
+
+    - Any embedding projects to a valid assignment: adjacent images are
+      powers of one another, so their cyclic subgroups are nested and
+      their classes comparable, and injectivity bounds each class's load
+      by its size.
+    - Any valid assignment lifts: x lies in <y> exactly when <x> is
+      contained in <y>, so elements of comparable classes are adjacent,
+      and the lift is injective because no class is overloaded.
+    - Pattern twins are interchangeable by a pattern automorphism, so
+      every valid assignment can be permuted into one that gives the
+      members of each twin class non-decreasing class indices.
+    - Forward checking and the Hall count only cut partial assignments
+      that no valid assignment extends.
     """
-    host = power_graph(g).graph
-    np_, nh = pattern.n, host.n
-    if np_ > nh:
+    if pattern.n > g.n:
         return None
-    if np_ == 0:
-        return EmbeddingWitness((), pattern_ref or _describe(pattern), g.label)
-    padj, hadj = pattern.adj, host.adj
-    pdeg, hdeg = pattern.degrees(), host.degrees()
-    order = sorted(range(np_), key=lambda v: (-pdeg[v], v))
-    pred, root = _twin_classes(pattern)
-    degree_pool = {d: sum(1 << w for w in range(nh) if hdeg[w] >= d)
-                   for d in set(pdeg)}
-    # how many members of v's twin class (v included) are still unplaced
-    # when the static order reaches v; they all draw images from v's pool
-    order_pos = [0] * np_
-    for i, v in enumerate(order):
-        order_pos[v] = i
-    rem = [0] * np_
-    by_class: dict[int, list[int]] = {}
-    for v in range(np_):
-        by_class.setdefault(root[v], []).append(v)
-    for members in by_class.values():
-        members.sort(key=lambda v: order_pos[v])
-        for i, v in enumerate(members):
-            rem[v] = len(members) - i
-    image = [-1] * np_
-    mapped_mask = 0
-    used_mask = 0
-
-    def place(idx: int) -> bool:
-        nonlocal mapped_mask, used_mask
-        if idx == np_:
-            return True
-        v = order[idx]
-        cand = degree_pool[pdeg[v]] & ~used_mask
-        rest = padj[v] & mapped_mask
-        while rest and cand:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            cand &= hadj[image[u]]
-        if cand.bit_count() < rem[v]:
-            return False
-        p = pred[v]
-        if p != -1 and image[p] != -1:
-            cand &= -1 << (image[p] + 1)
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            image[v] = w
-            mapped_mask |= 1 << v
-            used_mask |= 1 << w
-            if place(idx + 1):
-                return True
-            image[v] = -1
-            mapped_mask &= ~(1 << v)
-            used_mask &= ~(1 << w)
-        return False
-
-    if not place(0):
+    classes = g.cyclic_classes
+    assign = _assign_classes(pattern, classes)
+    if assign is None:
         return None
-    mapping = tuple((v, image[v]) for v in range(np_))
-    return EmbeddingWitness(mapping, pattern_ref or _describe(pattern), g.label)
+    taken = [0] * len(classes)
+    mapping = []
+    for v, c in enumerate(assign):
+        mapping.append((v, classes[c].members[taken[c]]))
+        taken[c] += 1
+    return EmbeddingWitness(tuple(mapping), pattern_ref or _describe(pattern),
+                            g.label)
+
+
+def _assign_classes(pattern: SimpleGraph,
+                    classes: tuple[CyclicClass, ...]) -> list[int] | None:
+    """A valid class per pattern vertex (see embeds), or None if none exists.
+
+    Depth-first search on an explicit stack.  Each frame holds the vertex
+    it branches on, its untried classes, and the domains (bitmasks over
+    class indices) and remaining capacities left by the placements above
+    it.  The next vertex is the unplaced one with the fewest classes in
+    its domain, ties broken by higher degree, then lower identifier.
+    """
+    n, k = pattern.n, len(classes)
+    if n == 0:
+        return []
+    padj, pdeg = pattern.adj, pattern.degrees()
+    size = [len(cl.members) for cl in classes]
+    comp = [cl.comparable for cl in classes]
+    host_deg = [sum(size[j] for j in _bits(comp[i])) - 1 for i in range(k)]
+    pool = {d: sum(1 << c for c in range(k) if host_deg[c] >= d)
+            for d in set(pdeg)}
+    rank = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: (-pdeg[v], v))):
+        rank[v] = i
+    twin_sets = _twin_classes(pattern)
+    pred, succ = [-1] * n, [-1] * n
+    for members in twin_sets:
+        for a, b in zip(members, members[1:]):
+            pred[b], succ[a] = a, b
+    assign = [-1] * n
+
+    def select(dom: list[int], cap: list[int], free: list[int]) -> int:
+        """The next vertex to branch on, or -1 when some unplaced vertex has
+        no class left or a twin class needs more room than its domains
+        offer."""
+        best, best_key = -1, 0
+        for u in free:
+            d = dom[u]
+            if not d:
+                return -1
+            key = d.bit_count() * n + rank[u]
+            if best == -1 or key < best_key:
+                best, best_key = u, key
+        for members in twin_sets:
+            union = need = 0
+            for u in members:
+                if assign[u] == -1:
+                    union |= dom[u]
+                    need += 1
+            room = 0
+            while union and room < need:
+                room += cap[(union & -union).bit_length() - 1]
+                union &= union - 1
+            if room < need:
+                return -1
+        return best
+
+    dom = [pool[pdeg[v]] for v in range(n)]
+    free = list(range(n))
+    v = select(dom, size, free)
+    if v == -1:
+        return None
+    stack = [[v, dom[v], dom, size, free]]
+    while stack:
+        frame = stack[-1]
+        v, cand, dom, cap, free = frame
+        if not cand:
+            assign[v] = -1
+            stack.pop()
+            continue
+        c = (cand & -cand).bit_length() - 1
+        frame[1] = cand & (cand - 1)
+        assign[v] = c
+        rest = [u for u in free if u != v]
+        if not rest:
+            return assign
+        dom = dom[:]
+        cap = cap[:]
+        cap[c] -= 1
+        if not cap[c]:
+            for u in rest:
+                dom[u] &= ~(1 << c)
+        for u in _bits(padj[v]):
+            dom[u] &= comp[c]
+        if succ[v] != -1:
+            dom[succ[v]] &= -1 << c
+        if pred[v] != -1:
+            dom[pred[v]] &= (2 << c) - 1
+        w = select(dom, cap, rest)
+        if w != -1:
+            stack.append([w, dom[w], dom, cap, rest])
+    return None
 
 
 def _describe(pattern: SimpleGraph) -> str:
@@ -207,8 +260,9 @@ def theta_kn_equals_nplus1(n: int) -> bool:
     """Whether the complete graph on n vertices has power index n + 1.
 
     Defined for n that is not a prime power; holds exactly when n + 1 is a
-    prime power or twice an odd prime.  The closed form is cross-asserted
-    against the scanning definition on every call.
+    prime power or twice an odd prime.  The closed form is checked against
+    the scanning definition on every call, raising AssertionError (also
+    under python -O) if they disagree.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -216,7 +270,8 @@ def theta_kn_equals_nplus1(n: int) -> bool:
         raise ValueError(f"{n} is a prime power; the criterion excludes it")
     oc = classify_order(n + 1)
     answer = oc.is_prime_power or oc.is_twice_odd_prime
-    assert answer == (theta_complete(n) == n + 1), n
+    if answer != (theta_complete(n) == n + 1):
+        raise AssertionError(f"closed form disagrees with the scan at n = {n}")
     return answer
 
 

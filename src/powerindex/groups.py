@@ -16,7 +16,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .graphs import power_graph
 from .numtheory import factorize
@@ -41,10 +41,20 @@ class CayleyTableError(ValueError):
     """External Cayley table violating the group axioms."""
 
 
+@dataclass(frozen=True)
+class CyclicClass:
+    """The elements generating one cyclic subgroup, with the classes whose
+    subgroups contain it or lie inside it (itself included), as a bitmask
+    over class indices."""
+
+    members: tuple[int, ...]
+    comparable: int
+
+
 class Group:
     """Immutable-by-convention finite group on identifiers 0..n-1."""
 
-    __slots__ = ("n", "label", "mul", "identity", "inv", "orders")
+    __slots__ = ("n", "label", "mul", "identity", "inv", "orders", "_classes")
 
     def __init__(self, mul, label: str):
         n = len(mul)
@@ -68,6 +78,7 @@ class Group:
             inv[x] = _row_index(mul[x], 0)
         self.orders = tuple(orders)
         self.inv = tuple(inv)
+        self._classes: tuple[CyclicClass, ...] | None = None
 
     def power(self, x: int, k: int) -> int:
         k %= self.orders[x]
@@ -84,6 +95,39 @@ class Group:
             members.append(acc)
             acc = self.mul[acc][x]
         return members
+
+    @property
+    def cyclic_classes(self) -> tuple[CyclicClass, ...]:
+        """Partition of the elements by the cyclic subgroup they generate,
+        computed on first use and cached.
+
+        Classes are indexed by their least member, so the identity's class
+        comes first.  x and y are adjacent in the power graph exactly when
+        their classes are comparable, so each class is a clique of twins.
+        Each cyclic subgroup is walked once; its generators are the powers
+        x^k with gcd(k, |x|) = 1.
+        """
+        if self._classes is None:
+            class_of = [-1] * self.n
+            subgroups: list[list[int]] = []
+            members: list[tuple[int, ...]] = []
+            for x in range(self.n):
+                if class_of[x] != -1:
+                    continue
+                powers = self.cyclic_subgroup(x)
+                k = len(powers)
+                gens = sorted(powers[j] for j in range(k) if gcd(j, k) == 1)
+                for y in gens:
+                    class_of[y] = len(members)
+                subgroups.append(powers)
+                members.append(tuple(gens))
+            comparable = [0] * len(members)
+            for i, powers in enumerate(subgroups):
+                for j in {class_of[y] for y in powers}:
+                    comparable[i] |= 1 << j
+                    comparable[j] |= 1 << i
+            self._classes = tuple(map(CyclicClass, members, comparable))
+        return self._classes
 
     def subgroup_generated(self, gens) -> frozenset[int]:
         closure = {0}

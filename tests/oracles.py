@@ -119,6 +119,35 @@ def is_embedding(pattern_edges: list[tuple[int, int]], mapping: dict[int, int],
     return all(frozenset((mapping[u], mapping[v])) in host_edges for u, v in pattern_edges)
 
 
+def embedding_brute(n: int, pattern_edges: list[tuple[int, int]], host_n: int,
+                    host_edges: set[frozenset[int]]) -> dict[int, int] | None:
+    """First injective map from 0..n-1 into 0..host_n-1 (in lexicographic
+    order) carrying every pattern edge to a host edge, or None.
+
+    Enumerates the injective maps vertex by vertex, abandoning a partial
+    map as soon as one of its edges misses the host.
+    """
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pattern_edges:
+        earlier[max(u, v)].append(min(u, v))
+    image: list[int] = []
+
+    def extend() -> bool:
+        w = len(image)
+        if w == n:
+            return True
+        for x in range(host_n):
+            if x not in image and all(frozenset((image[u], x)) in host_edges
+                                      for u in earlier[w]):
+                image.append(x)
+                if extend():
+                    return True
+                image.pop()
+        return False
+
+    return dict(enumerate(image)) if extend() else None
+
+
 # ── exhaustive group enumeration (orders <= 8) ───────────────────────────────
 
 def enumerate_group_tables(n: int) -> list[list[list[int]]]:

@@ -15,6 +15,7 @@ from oracles import is_embedding
 from powerindex.cli import main
 from powerindex.graphs import (
     complete_graph,
+    empty_graph,
     parse_graph,
     power_graph,
     serialize_graph,
@@ -188,6 +189,14 @@ def test_embed_human_output_lines(capsys, k6_file):
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(" -> " in line for line in lines)
+
+
+def test_embed_large_edgeless_pattern(capsys, tmp_path):
+    path = tmp_path / "null1100.graph"
+    path.write_text(serialize_graph(empty_graph(1100), "edgelist"))
+    code, out, _ = run(capsys, "embed", str(path), "Z1103")
+    assert code == 0
+    assert len(out.splitlines()) == 1100
 
 
 def test_matching_perfect(capsys):

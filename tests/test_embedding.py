@@ -3,10 +3,13 @@ criticality, and the degree characterization."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import powerindex.embedding as embedding
+from oracles import embedding_brute, is_embedding, power_graph_edges_brute
 from powerindex.embedding import (
     check_embedding,
     embed_kst_cyclic,
@@ -38,6 +41,12 @@ def _host(spec):
     return power_graph(construct_group(spec)).graph
 
 
+def _relabel(pattern, seed):
+    perm = list(range(pattern.n))
+    random.Random(seed).shuffle(perm)
+    return SimpleGraph(pattern.n, [(perm[u], perm[v]) for u, v in pattern.edges()])
+
+
 def test_embeds_complete_graphs():
     w = embeds(complete_graph(6), construct_group("Z7"))
     assert w is not None
@@ -52,6 +61,53 @@ def test_embeds_witness_fields():
     assert w.pattern_ref == "K_3" and w.group_ref == "Z4"
     assert sorted(w.to_json()) == ["0", "1", "2"]
     assert all(isinstance(x, int) for x in w.to_json().values())
+
+
+def test_embeds_agrees_with_brute_force():
+    # every labelled graph on at most 4 vertices, plus seeded random 5- and
+    # 6-vertex patterns, against every catalog group of order <= 10
+    patterns = []
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            patterns.append((n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    rng = random.Random(2015)
+    for n in (5, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(15):
+            density = rng.choice((0.3, 0.6, 0.9))
+            patterns.append((n, [e for e in pairs if rng.random() < density]))
+    hosts = [(g, power_graph_edges_brute(g))
+             for m in range(1, 11) for g in catalog_for_order(m).groups]
+    for n, edges in patterns:
+        pattern = SimpleGraph(n, edges)
+        for g, host_edges in hosts:
+            w = embeds(pattern, g)
+            expected = embedding_brute(n, edges, g.n, host_edges)
+            assert (w is None) == (expected is None), (n, edges, g.label)
+            if w is not None:
+                assert is_embedding(edges, w.as_dict(), host_edges), (n, edges, g.label)
+
+
+def test_embeds_large_patterns_without_recursion():
+    g = construct_group("Z1103")
+    host = power_graph(g).graph
+    for pattern in (empty_graph(1100), complete_graph(1100)):
+        w = embeds(pattern, g)
+        assert w is not None
+        assert check_embedding(pattern, host, w.as_dict())
+
+
+def test_embeds_ignores_pattern_labels():
+    for seed in (1, 2, 3):
+        assert embeds(_relabel(complete_bipartite(10, 10), seed),
+                      construct_group("Z20")) is None
+        assert embeds(_relabel(complete_bipartite(10, 14), seed),
+                      construct_group("Z24")) is None
+    pattern = _relabel(complete_bipartite(11, 15), 1)
+    w = embeds(pattern, construct_group("Z26"))
+    assert w is not None
+    assert check_embedding(pattern, _host("Z26"), w.as_dict())
 
 
 def test_stars_embed_everywhere():
@@ -112,6 +168,12 @@ def test_theta_kn_equals_nplus1():
         theta_kn_equals_nplus1(8)
     with pytest.raises(ValueError):
         theta_kn_equals_nplus1(9)
+
+
+def test_theta_kn_check_survives_optimisation(monkeypatch):
+    monkeypatch.setattr(embedding, "theta_complete", lambda n: n + 2)
+    with pytest.raises(AssertionError, match="n = 6"):
+        theta_kn_equals_nplus1(6)
 
 
 def test_kst_criterion():

@@ -25,7 +25,7 @@ from powerindex.groups import (
     unique_subgroup_of_prime_order,
 )
 
-from oracles import count_groups_up_to_isomorphism
+from oracles import count_groups_up_to_isomorphism, power_graph_edges_brute
 
 # Isomorphism class counts from the classification of small groups, for
 # every order the catalog promises to exhaust.
@@ -111,6 +111,30 @@ def test_cyclic_subgroup_and_generation():
     reflection = next(x for x in range(8) if d8.orders[x] == 2 and x != d8.power(rotation, 2))
     assert d8.subgroup_generated([rotation, reflection]) == frozenset(range(8))
     assert d8.subgroup_generated([d8.power(rotation, 2)]) == frozenset({0, d8.power(rotation, 2)})
+
+
+def test_cyclic_classes_partition_and_comparability():
+    # classes partition the group by generated subgroup, and two distinct
+    # elements are power-graph adjacent iff their classes are comparable
+    for m in range(1, 25):
+        for g in catalog_for_order(m).groups:
+            classes = g.cyclic_classes
+            assert classes is g.cyclic_classes
+            class_of = {}
+            for i, cl in enumerate(classes):
+                assert list(cl.members) == sorted(cl.members)
+                subgroup = set(g.cyclic_subgroup(cl.members[0]))
+                for x in cl.members:
+                    assert set(g.cyclic_subgroup(x)) == subgroup, g.label
+                    class_of[x] = i
+            assert sorted(class_of) == list(range(g.n))
+            assert classes[0].members == (0,)
+            edges = power_graph_edges_brute(g)
+            for x in range(g.n):
+                for y in range(x + 1, g.n):
+                    comparable = bool(classes[class_of[x]].comparable
+                                      >> class_of[y] & 1)
+                    assert comparable == (frozenset((x, y)) in edges), (g.label, x, y)
 
 
 def test_products_and_isomorphism():

@@ -53,6 +53,10 @@ def test_default_bounds_chi_suite():
     assert report.claims[0].instances == 200
 
 
+def test_kst_suite_to_order_30():
+    assert verify_suite("kst", 30, progress=io.StringIO()).passed
+
+
 def test_all_suite_merges_claims():
     individual = sum(
         len(verify_suite(name, SMALL_BOUNDS[name], progress=io.StringIO()).claims)

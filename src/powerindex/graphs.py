@@ -4,6 +4,12 @@ Adjacency lives in one Python int per vertex, so neighbourhood
 intersections (the hot operation in clique and embedding search) are
 single ``&`` operations.  Also holds the pattern-graph constructors and
 the edgelist / JSON / DOT text formats.
+
+Power graphs are built from the group's partition into cyclic classes
+(``Group.cyclic_classes``): x and y are adjacent exactly when the cyclic
+subgroups they generate are nested (Feng, Ma & Wang, *Eur. J. Combin.*
+43, 2015), so the power graph is the comparability graph of the classes
+with each class blown up to a clique.
 """
 
 from __future__ import annotations
@@ -148,25 +154,25 @@ def power_graph(g) -> PowerGraph:
     """Build the power graph of a Group: distinct x, y adjacent iff one is a
     power of the other.
 
-    Powers of each y are marked once (O(n) per vertex), giving O(n^2) total.
-    Vertex labels record element orders for DOT export.
+    Adjacency is comparability of cyclic classes (Feng, Ma & Wang 2015), so
+    each class gets one mask, the union of the members of every class
+    comparable with it (itself included), and a member's row is that mask
+    without its own bit.  That is one OR per comparable pair of classes.
+    The graph is rebuilt on each call from the classes, which the Group
+    caches.  Vertex labels record element orders for DOT export.
     """
-    n = g.n
-    adj = [0] * n
-    for y in range(n):
-        members = 0
-        acc = y
-        while acc != g.identity:
-            members |= 1 << acc
-            acc = g.mul[acc][y]
-        members |= 1 << g.identity
-        members &= ~(1 << y)
-        adj[y] |= members
-        for x in _bits(members):
-            adj[x] |= 1 << y
-    gr = SimpleGraph(n)
+    classes = g.cyclic_classes
+    member_masks = [sum(1 << x for x in cl.members) for cl in classes]
+    adj = [0] * g.n
+    for cl in classes:
+        mask = 0
+        for j in _bits(cl.comparable):
+            mask |= member_masks[j]
+        for x in cl.members:
+            adj[x] = mask ^ (1 << x)
+    gr = SimpleGraph(g.n)
     gr.adj = adj
-    gr.labels = [str(g.orders[x]) for x in range(n)]
+    gr.labels = [str(k) for k in g.orders]
     return PowerGraph(gr, g.label)
 
 

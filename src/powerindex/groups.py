@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import re
 from array import array
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ class CayleyTableError(ValueError):
     """External Cayley table violating the group axioms."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclicClass:
     """The elements generating one cyclic subgroup, with the classes whose
     subgroups contain it or lie inside it (itself included), as a bitmask
@@ -75,7 +74,7 @@ class Group:
                     raise ValueError(
                         f"powers of element {x} never reach the identity")
             orders[x] = k
-            inv[x] = _row_index(mul[x], 0)
+            inv[x] = mul[x].index(0)
         self.orders = tuple(orders)
         self.inv = tuple(inv)
         self._classes: tuple[CyclicClass, ...] | None = None
@@ -145,13 +144,6 @@ class Group:
         return f"Group({self.label!r}, n={self.n})"
 
 
-def _row_index(row, value: int) -> int:
-    for i, entry in enumerate(row):
-        if entry == value:
-            return i
-    raise ValueError(f"value {value} missing from row")
-
-
 def element_order(g: Group, x: int) -> int:
     """Least k >= 1 with x^k = e."""
     if not 0 <= x < g.n:
@@ -196,11 +188,16 @@ def unique_subgroup_of_prime_order(g: Group, p: int) -> bool:
 
 
 def is_generalized_quaternion(g: Group) -> bool:
-    """True iff g is dicyclic of 2-power order >= 8 (generalized quaternion)."""
+    """True iff g is dicyclic of 2-power order >= 8 (generalized quaternion).
+
+    A 2-group with exactly one involution is cyclic or generalized
+    quaternion (Gorenstein, *Finite Groups*, Thm 5.4.10), so the test is a
+    count of element orders.
+    """
     n = g.n
     if n < 8 or n & (n - 1):
         return False
-    return are_isomorphic(g, construct_group(f"Q{n}"))
+    return not is_cyclic(g) and g.orders.count(2) == 1
 
 
 # ── family constructors ──────────────────────────────────────────────────────
@@ -455,16 +452,48 @@ def _load_cayley(path: str, label: str) -> Group:
     for x in range(n):
         if 0 not in mul[x]:
             raise CayleyTableError(f"inverse axiom violated: element {x} has no inverse")
-    if n <= 64:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(0)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(20000))
-    for a, b, c in triples:
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise CayleyTableError(f"associativity fails at ({a}, {b}, {c})")
+    _check_associative(mul)
     return Group(mul, label)
+
+
+def _check_associative(mul: list[list[int]]) -> None:
+    """Light's associativity test over a greedy generating set S.
+
+    The elements s with x(sy) = (xs)y for all x, y are closed under
+    products, so once every s in S passes and S generates the whole table,
+    the table is associative (Clifford & Preston, *Algebraic Theory of
+    Semigroups* I, 1961).  S takes the least element outside the closure
+    of the previous ones under right multiplication, at O(n^2) per member.
+    Identity and right inverses are already checked, so an associative
+    table is a group, and each new member of S at least doubles the closure:
+    needing more than log2(n) of them proves associativity fails.
+    """
+    n = len(mul)
+    inside = bytearray(n)
+    inside[0] = 1
+    closure = [0]
+    gens: list[int] = []
+    for s in range(n):
+        if inside[s]:
+            continue
+        if len(gens) == n.bit_length() - 1:
+            raise CayleyTableError(
+                f"associativity fails: {len(gens)} greedy generators reach "
+                f"only {len(closure)} of {n} elements, fewer than any group")
+        row_s = mul[s]
+        for x in range(n):
+            mx = mul[x]
+            if mul[mx[s]] != [mx[c] for c in row_s]:
+                y = next(y for y in range(n) if mul[mx[s]][y] != mx[row_s[y]])
+                raise CayleyTableError(f"associativity fails at ({x}, {s}, {y})")
+        gens.append(s)
+        frontier = [mul[r][s] for r in closure]
+        while frontier:
+            y = frontier.pop()
+            if not inside[y]:
+                inside[y] = 1
+                closure.append(y)
+                frontier.extend(mul[y][t] for t in gens)
 
 
 # ── isomorphism testing ──────────────────────────────────────────────────────

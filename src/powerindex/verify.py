@@ -385,9 +385,12 @@ _SUITES = {
 
 def verify_suite(name: str, max_n: int | None = None,
                  progress=None) -> VerificationReport:
-    """Run one named suite (or 'all') and return its report."""
+    """Run one named suite (or 'all') and return its report; max_n=None
+    keeps each suite's default bound."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"sweep bound must be >= 1, got {max_n}")
     stream = progress if progress is not None else sys.stderr
     if name == "all":
         claims: list[ClaimResult] = []

@@ -303,6 +303,35 @@ def tables_isomorphic(t1: list[list[int]], t2: list[list[int]]) -> bool:
     return extend(f, used)
 
 
+def quaternion_table(n: int) -> list[list[int]]:
+    """Generalized quaternion group of order n = 4m from its presentation
+    x^(2m) = 1, y^2 = x^m, y x y^-1 = x^-1; element s*2m + a is x^a y^s."""
+    m = n // 4
+    h = 2 * m
+    table = [[0] * n for _ in range(n)]
+    for s in (0, 1):
+        for a in range(h):
+            for t in (0, 1):
+                for b in range(h):
+                    if s == 0:  # x^a * x^b y^t = x^(a+b) y^t
+                        prod = t * h + (a + b) % h
+                    elif t == 0:  # x^a y * x^b = x^(a-b) y
+                        prod = h + (a - b) % h
+                    else:  # x^a y * x^b y = x^(a-b) y^2 = x^(a-b+m)
+                        prod = (a - b + m) % h
+                    table[s * h + a][t * h + b] = prod
+    return table
+
+
+def is_generalized_quaternion_by_isomorphism(group) -> bool:
+    """The group is isomorphic to the generalized quaternion group of its
+    order, which must be a power of 2 and at least 8."""
+    n = group.n
+    if n < 8 or n & (n - 1):
+        return False
+    return tables_isomorphic(group.mul, quaternion_table(n))
+
+
 def count_groups_up_to_isomorphism(n: int) -> int:
     reps: list[list[list[int]]] = []
     for table in enumerate_group_tables(n):

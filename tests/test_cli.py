@@ -296,6 +296,14 @@ def test_verify_unknown_suite(capsys):
     assert "invalid choice" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_rejects_bound_below_one(capsys, bound):
+    code, out, err = run(capsys, "verify", "kst", "--max", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: sweep bound must be >= 1, got {bound}\n"
+
+
 def test_verify_progress_on_stderr_only(capsys):
     _, out, err = run(capsys, "verify", "kst", "--max", "8", "--json")
     json.loads(out)

@@ -3,6 +3,8 @@ edgelist/JSON/DOT serialization formats."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from powerindex.graphs import (
@@ -21,7 +23,7 @@ from powerindex.graphs import (
     serialize_graph,
     star,
 )
-from powerindex.groups import construct_group, involutions
+from powerindex.groups import catalog_for_order, construct_group, involutions
 
 from oracles import power_graph_edges_brute
 
@@ -90,12 +92,44 @@ def test_graph_rejects_bad_edges():
 
 
 def test_power_graph_matches_bruteforce():
-    for spec in POWER_GRAPH_SPECS:
-        g = construct_group(spec)
+    hosts = [construct_group(spec) for spec in POWER_GRAPH_SPECS + ["D600", "S6"]]
+    hosts += [g for m in range(1, 65) for g in catalog_for_order(m).groups]
+    for g in hosts:
         pg = power_graph(g)
         got = {frozenset(e) for e in pg.graph.edges()}
-        assert got == power_graph_edges_brute(g), spec
-        assert pg.group_ref == spec
+        assert got == power_graph_edges_brute(g), g.label
+        assert pg.group_ref == g.label
+
+
+# sha256 of the edgelist text followed by the DOT text, first 16 hex digits,
+# as the element-power walk printed them before the class construction
+SERIALIZED_DIGESTS = {
+    "Z1": "b41d9c65d100be07",
+    "Z2": "7933acdd91748a8f",
+    "Z6": "534303ef3a19d907",
+    "Z8": "2341e035b98ca4ac",
+    "Z12": "c60cbea3de19048e",
+    "Z15": "0afe3741b9a24d90",
+    "Ab[2,4]": "0d4641116f627329",
+    "Ab[2,2,2]": "63dd24bf2ca3e8bb",
+    "D8": "9e95c055e16b94ce",
+    "D12": "ffba4d40528983c5",
+    "Q8": "538687f791816159",
+    "Q16": "054a97dba3891593",
+    "Dic3": "abe28c4183e2ab49",
+    "S3": "a3349264266c26c3",
+    "S4": "99d718dc6d96a0ec",
+    "A4": "aec3e4bf11bf1048",
+    "Prod(Z3,D6)": "2c1133e717a79b91",
+}
+
+
+def test_power_graph_serialization_unchanged():
+    assert list(SERIALIZED_DIGESTS) == POWER_GRAPH_SPECS
+    for spec, digest in SERIALIZED_DIGESTS.items():
+        gr = power_graph(construct_group(spec)).graph
+        text = serialize_graph(gr, "edgelist") + serialize_graph(gr, "dot")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, spec
 
 
 def test_power_graph_identity_and_inverses():

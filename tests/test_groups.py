@@ -25,7 +25,11 @@ from powerindex.groups import (
     unique_subgroup_of_prime_order,
 )
 
-from oracles import count_groups_up_to_isomorphism, power_graph_edges_brute
+from oracles import (
+    count_groups_up_to_isomorphism,
+    is_generalized_quaternion_by_isomorphism,
+    power_graph_edges_brute,
+)
 
 # Isomorphism class counts from the classification of small groups, for
 # every order the catalog promises to exhaust.
@@ -184,6 +188,19 @@ def test_generalized_quaternion_detector():
         assert not is_generalized_quaternion(construct_group(spec)), spec
 
 
+def test_quaternion_criterion_matches_isomorphism_oracle():
+    # the unique-involution criterion against an isomorphism search with
+    # the generalized quaternion table of the same order
+    found = []
+    for k in range(3, 8):
+        for g in catalog_for_order(2 ** k).groups:
+            got = is_generalized_quaternion(g)
+            assert got == is_generalized_quaternion_by_isomorphism(g), g.label
+            if got:
+                found.append(g.label)
+    assert found == ["Q8", "Q16", "Q32", "Q64", "Q128"]
+
+
 def test_abelian_types_enumeration():
     assert abelian_types(1) == [(1,)]
     assert abelian_types(12) == [(12,), (2, 6)]
@@ -233,6 +250,16 @@ def test_cayley_round_trip(tmp_path):
     assert g.label == f"cayley:{path}"
 
 
+def test_cayley_accepts_groups_past_order_64(tmp_path):
+    # S5 needs two greedy generators; 2^7 needs seven, the most order 128 allows
+    for spec in ("S5", "Ab[2,2,2,2,2,2,2]"):
+        g = construct_group(spec)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": g.n, "mul": [list(r) for r in g.mul]}))
+        loaded = construct_group(f"cayley:{path}")
+        assert loaded.orders == g.orders, spec
+
+
 def _write(tmp_path, name, payload) -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -262,6 +289,19 @@ def test_cayley_rejects_bad_tables(tmp_path):
 
     with pytest.raises(CayleyTableError):
         construct_group(_write(tmp_path, "keys.json", {"size": 2}))
+
+    # Z1000 with the intercalate at rows 2, 502 and columns 5, 505 swapped:
+    # still a Latin square with identity 0, but not associative
+    z1000 = [[(a + b) % 1000 for b in range(1000)] for a in range(1000)]
+    for r, c in ((2, 5), (2, 505), (502, 5), (502, 505)):
+        z1000[r][c] = (z1000[r][c] + 500) % 1000
+    with pytest.raises(CayleyTableError, match="associativity"):
+        construct_group(_write(tmp_path, "z1000.json", {"n": 1000, "mul": z1000}))
+
+    # passes the middle test for 1, whose closure {0, 1} stops short of 2
+    short = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+    with pytest.raises(CayleyTableError, match="greedy generators"):
+        construct_group(_write(tmp_path, "short.json", {"n": 3, "mul": short}))
 
     missing = tmp_path / "nope.json"
     with pytest.raises(GroupSpecError):

@@ -5,6 +5,11 @@ generalized dihedral, dicyclic/quaternion, symmetric/alternating, direct
 products, external Cayley tables) and served per order through a catalog
 that deduplicates up to isomorphism and carries an explicit completeness
 flag.  The identity always sits at identifier 0.
+
+Abelian groups and direct products share one product builder.  Power-graph
+degrees, which the isomorphism invariants use, are read from the
+cyclic-class partition (``CyclicClass.degree``), so nothing here builds a
+power graph.
 """
 
 from __future__ import annotations
@@ -14,10 +19,9 @@ import json
 import re
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt
+from functools import lru_cache, reduce
+from math import gcd, isqrt, prod
 
-from .graphs import power_graph
 from .numtheory import factorize
 
 ORDER_CAP = 5040
@@ -44,10 +48,11 @@ class CayleyTableError(ValueError):
 class CyclicClass:
     """The elements generating one cyclic subgroup, with the classes whose
     subgroups contain it or lie inside it (itself included), as a bitmask
-    over class indices."""
+    over class indices, and the power-graph degree each member has."""
 
     members: tuple[int, ...]
     comparable: int
+    degree: int
 
 
 class Group:
@@ -104,7 +109,9 @@ class Group:
         comes first.  x and y are adjacent in the power graph exactly when
         their classes are comparable, so each class is a clique of twins.
         Each cyclic subgroup is walked once; its generators are the powers
-        x^k with gcd(k, |x|) = 1.
+        x^k with gcd(k, |x|) = 1.  A member x of a class is adjacent to the
+        rest of <x> and to the generators of every larger cyclic subgroup
+        containing x, which gives the class its degree.
         """
         if self._classes is None:
             class_of = [-1] * self.n
@@ -121,11 +128,14 @@ class Group:
                 subgroups.append(powers)
                 members.append(tuple(gens))
             comparable = [0] * len(members)
+            degree = [len(powers) - 1 for powers in subgroups]
             for i, powers in enumerate(subgroups):
                 for j in {class_of[y] for y in powers}:
                     comparable[i] |= 1 << j
                     comparable[j] |= 1 << i
-            self._classes = tuple(map(CyclicClass, members, comparable))
+                    if j != i:
+                        degree[j] += len(members[i])
+            self._classes = tuple(map(CyclicClass, members, comparable, degree))
         return self._classes
 
     def subgroup_generated(self, gens) -> frozenset[int]:
@@ -217,29 +227,17 @@ def _cyclic_table(n: int):
     return rows
 
 
-def _abelian_tables(ds: tuple[int, ...]):
-    """Addition and negation tables of Z_d1 x ... x Z_dk, identity at 0."""
-    tuples = list(itertools.product(*(range(d) for d in ds)))
-    index = {t: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    add = _make_rows(n)
-    neg = [0] * n
-    for i, t in enumerate(tuples):
-        neg[i] = index[tuple(-a % d for a, d in zip(t, ds))]
-        row = add[i]
-        for j, u in enumerate(tuples):
-            row[j] = index[tuple((a + b) % d for a, b, d in zip(t, u, ds))]
-    return add, neg
-
-
 def _abelian_table(ds: tuple[int, ...]):
-    return _abelian_tables(ds)[0]
+    """Z_d1 x ... x Z_dk as iterated products of cyclic tables, so element
+    (a1, ..., ak) sits at its mixed-radix index, identity at 0."""
+    return reduce(_product_table, map(_cyclic_table, ds))
 
 
 def _gdih_table(ds: tuple[int, ...]):
     """Generalized dihedral over Z_d1 x ... x Z_dk: the abelian part extended
     by an order-2 flip acting as negation."""
-    add, neg = _abelian_tables(ds)
+    add = _abelian_table(ds)
+    neg = [row.index(0) for row in add]
     h = len(add)
     n = 2 * h
     rows = _make_rows(n)
@@ -292,17 +290,18 @@ def _perm_table(k: int, even_only: bool):
     return rows
 
 
-def _product_table(ga: Group, gb: Group):
-    na, nb = ga.n, gb.n
+def _product_table(mul_a, mul_b):
+    """Direct product of two tables; (a, b) sits at a * |B| + b."""
+    na, nb = len(mul_a), len(mul_b)
     n = na * nb
     if n > ORDER_CAP:
         raise GroupSpecError(f"product order {n} exceeds the {ORDER_CAP} cap")
     rows = _make_rows(n)
     for a1 in range(na):
-        mra = ga.mul[a1]
+        mra = mul_a[a1]
         for b1 in range(nb):
             row = rows[a1 * nb + b1]
-            mrb = gb.mul[b1]
+            mrb = mul_b[b1]
             for a2 in range(na):
                 base = mra[a2] * nb
                 for b2 in range(nb):
@@ -395,10 +394,10 @@ def _build_table(tree):
         _check_cap(tree[1])
         return _cyclic_table(tree[1])
     if kind == "ab":
-        _check_cap(_prodl(tree[1]))
+        _check_cap(prod(tree[1]))
         return _abelian_table(tree[1])
     if kind == "gdih":
-        _check_cap(2 * _prodl(tree[1]))
+        _check_cap(2 * prod(tree[1]))
         return _gdih_table(tree[1])
     if kind == "dicyclic":
         _check_cap(4 * tree[1])
@@ -406,17 +405,8 @@ def _build_table(tree):
     if kind == "perm":
         return _perm_table(tree[2], even_only=tree[1] == "A")
     if kind == "prod":
-        ga = Group(_build_table(tree[1]), "left")
-        gb = Group(_build_table(tree[2]), "right")
-        return _product_table(ga, gb)
+        return _product_table(_build_table(tree[1]), _build_table(tree[2]))
     raise GroupSpecError(f"cannot build {kind}")  # pragma: no cover
-
-
-def _prodl(ds) -> int:
-    out = 1
-    for d in ds:
-        out *= d
-    return out
 
 
 def _check_cap(n: int) -> None:
@@ -514,16 +504,20 @@ def _conjugacy_class_sizes(g: Group) -> list[int]:
 
 
 def _vertex_profiles(g: Group) -> list[tuple[int, int, int]]:
-    degrees = power_graph(g).graph.degrees()
-    classes = _conjugacy_class_sizes(g)
-    return [(g.orders[x], degrees[x], classes[x]) for x in range(g.n)]
+    """Per element: its order, power-graph degree and conjugacy class size."""
+    sizes = _conjugacy_class_sizes(g)
+    profiles = [(0, 0, 0)] * g.n
+    for cl in g.cyclic_classes:
+        for x in cl.members:
+            profiles[x] = (g.orders[x], cl.degree, sizes[x])
+    return profiles
 
 
 def group_fingerprint(g: Group) -> tuple:
     """Cheap isomorphism-invariant summary: sorted element orders plus the
     sorted power-graph degree sequence."""
-    degrees = power_graph(g).graph.degrees()
-    return (tuple(sorted(g.orders)), tuple(sorted(degrees)))
+    degrees = sorted(cl.degree for cl in g.cyclic_classes for _ in cl.members)
+    return (tuple(sorted(g.orders)), tuple(degrees))
 
 
 def are_isomorphic(g1: Group, g2: Group) -> bool:

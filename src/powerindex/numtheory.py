@@ -83,49 +83,25 @@ def totient(n: int) -> int:
     return result
 
 
-_chi_chain: dict[int, int] = {1: 1}
-_chi_recursive: dict[int, int] = {1: 1}
-
-
-def _chi_by_chain(n: int) -> int:
-    """Sum phi over the divisor chain n, n/p1, ..., n/p1^r1, n/(p1^r1 p2), ..., 1,
-    built explicitly from the factorization."""
-    if n in _chi_chain:
-        return _chi_chain[n]
-    chain = [n]
-    m = n
-    for p, r in factorize(n).factors:
-        for _ in range(r):
-            m //= p
-            chain.append(m)
-    _chi_chain[n] = total = sum(totient(d) for d in chain)
-    return total
-
-
-def _chi_by_recursion(n: int) -> int:
-    """chi(n) = phi(n) + chi(n / p) with p the least prime factor of n."""
-    todo = []
-    while n not in _chi_recursive:
-        todo.append(n)
-        n //= factorize(n).factors[0][0]
-    value = _chi_recursive[n]
-    for m in reversed(todo):
-        value += totient(m)
-        _chi_recursive[m] = value
-    return value
+_chi_memo: dict[int, int] = {1: 1}
 
 
 def chi(n: int) -> int:
-    """Totient sum over the maximal divisor chain of n.
+    """Totient sum over the maximal divisor chain of n, by the recursion
+    chi(n) = phi(n) + chi(n / p) with p the least prime factor of n,
+    memoized.
 
     chi(1) == 1 by convention: the chain collapses to the single term phi(1).
-    The chain sum and the least-prime-factor recursion are both evaluated and
-    cross-asserted on every fresh argument.
     """
     _require_positive(n)
-    value = _chi_by_chain(n)
-    if _chi_by_recursion(n) != value:
-        raise AssertionError(f"chi chain/recursion mismatch at n={n}")
+    todo = []
+    while n not in _chi_memo:
+        todo.append(n)
+        n //= factorize(n).factors[0][0]
+    value = _chi_memo[n]
+    for m in reversed(todo):
+        value += totient(m)
+        _chi_memo[m] = value
     return value
 
 

@@ -88,12 +88,18 @@ class VerificationReport:
 
 
 def _claim(claim_id: str, statement: str, instances) -> ClaimResult:
-    """Drain an iterator of (ok, description) pairs into a ClaimResult."""
+    """Drain an iterator of (ok, description) pairs into a ClaimResult.
+
+    A claim with no instances checked nothing, so it does not pass.
+    """
     count = 0
     for ok, description in instances:
         count += 1
         if not ok:
             return ClaimResult(claim_id, statement, count, False, description)
+    if not count:
+        return ClaimResult(claim_id, statement, 0, False,
+                           "no instances up to the bound")
     return ClaimResult(claim_id, statement, count, True, None)
 
 

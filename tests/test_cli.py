@@ -304,6 +304,16 @@ def test_verify_rejects_bound_below_one(capsys, bound):
     assert err == f"error: sweep bound must be >= 1, got {bound}\n"
 
 
+def test_verify_bound_without_instances_fails(capsys):
+    code, out, _ = run(capsys, "verify", "theta-kn", "--max", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[-1] == "suite theta-kn: FAIL"
+    assert len(lines) == 4
+    assert all(line.startswith("FAIL ") and line.endswith(
+        "(0 instances): no instances up to the bound") for line in lines[:-1])
+
+
 def test_verify_progress_on_stderr_only(capsys):
     _, out, err = run(capsys, "verify", "kst", "--max", "8", "--json")
     json.loads(out)

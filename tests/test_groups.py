@@ -3,6 +3,7 @@ isomorphism testing, and the per-order catalog."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -69,6 +70,32 @@ def test_family_axioms():
         _check_axioms(g)
 
 
+# sha256 of the rows of each multiplication table, one line per row with
+# entries separated by spaces, first 16 hex digits, as the tables were
+# built before abelian groups became iterated products of cyclic tables
+TABLE_DIGESTS = {
+    "Z12": "47c124f452e0a7c6",
+    "Ab[1,4]": "c710ff76c54d89b9",
+    "Ab[2,6]": "440eca3618b107ba",
+    "Ab[2,2,2,2]": "1a1da10b7bad1449",
+    "Ab[2,2,4,60]": "10635c6cfab4cf5d",
+    "D8": "5fceffa984d4e186",
+    "GDih[3,3]": "919a78abb09171cf",
+    "Q16": "f83e72c78e5f854c",
+    "Dic5": "a0f35279e4a0e3f1",
+    "S4": "8bda73dca8aba971",
+    "A5": "558d596965f1c30a",
+    "Prod(S3,Q8)": "4c2eecd13e5c8d82",
+    "Prod(Z3,Prod(Z2,S3))": "95576f877e16c1f6",
+}
+
+
+def test_tables_unchanged():
+    for spec, digest in TABLE_DIGESTS.items():
+        text = "\n".join(" ".join(map(str, row)) for row in construct_group(spec).mul)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, spec
+
+
 def test_family_orders():
     assert construct_group("Z1").n == 1
     assert construct_group("D6").n == 6
@@ -118,8 +145,9 @@ def test_cyclic_subgroup_and_generation():
 
 
 def test_cyclic_classes_partition_and_comparability():
-    # classes partition the group by generated subgroup, and two distinct
-    # elements are power-graph adjacent iff their classes are comparable
+    # classes partition the group by generated subgroup, two distinct
+    # elements are power-graph adjacent iff their classes are comparable,
+    # and each class's degree is its members' power-graph degree
     for m in range(1, 25):
         for g in catalog_for_order(m).groups:
             classes = g.cyclic_classes
@@ -134,6 +162,9 @@ def test_cyclic_classes_partition_and_comparability():
             assert sorted(class_of) == list(range(g.n))
             assert classes[0].members == (0,)
             edges = power_graph_edges_brute(g)
+            for cl in classes:
+                for x in cl.members:
+                    assert cl.degree == sum(x in e for e in edges), (g.label, x)
             for x in range(g.n):
                 for y in range(x + 1, g.n):
                     comparable = bool(classes[class_of[x]].comparable

@@ -37,6 +37,12 @@ def test_claim_runner_stops_at_first_counterexample():
     assert res.instances == 2
 
 
+def test_claim_runner_fails_a_claim_without_instances():
+    res = _claim("demo", "statement", iter([]))
+    assert res == ClaimResult("demo", "statement", 0, False,
+                              "no instances up to the bound")
+
+
 def test_every_suite_passes_at_small_bounds():
     for name, bound in SMALL_BOUNDS.items():
         report = verify_suite(name, bound, progress=io.StringIO())

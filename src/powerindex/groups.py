@@ -212,19 +212,22 @@ def is_generalized_quaternion(g: Group) -> bool:
 
 # ── family constructors ──────────────────────────────────────────────────────
 
+_LIST_ROWS_MAX = 1024  # larger tables keep each row as an array('H')
+
+
 def _make_rows(n: int):
-    if n > 1024:
+    if n > _LIST_ROWS_MAX:
         return [array("H", bytes(2 * n)) for _ in range(n)]
     return [[0] * n for _ in range(n)]
 
 
 def _cyclic_table(n: int):
-    rows = _make_rows(n)
-    for a in range(n):
-        row = rows[a]
-        for b in range(n):
-            row[b] = (a + b) % n
-    return rows
+    """Row a is the window a..a+n-1 of one doubled list, so every row shares
+    the same n int objects."""
+    doubled = list(range(n)) * 2
+    if n > _LIST_ROWS_MAX:
+        doubled = array("H", doubled)
+    return [doubled[a:a + n] for a in range(n)]
 
 
 def _abelian_table(ds: tuple[int, ...]):
@@ -235,39 +238,42 @@ def _abelian_table(ds: tuple[int, ...]):
 
 def _gdih_table(ds: tuple[int, ...]):
     """Generalized dihedral over Z_d1 x ... x Z_dk: the abelian part extended
-    by an order-2 flip acting as negation."""
+    by an order-2 flip acting as negation.  Entries come from one shared
+    list of ints."""
     add = _abelian_table(ds)
     neg = [row.index(0) for row in add]
     h = len(add)
     n = 2 * h
-    rows = _make_rows(n)
-    for s in (0, 1):
-        for i in range(h):
-            row = rows[s * h + i]
-            for t in (0, 1):
-                for j in range(h):
-                    jj = neg[j] if s else j
-                    row[t * h + j] = (s ^ t) * h + add[i][jj]
+    ids = list(range(n))
+    lo, hi = ids[:h], ids[h:]
+    rows = []
+    for flip in (False, True):
+        left, right = (hi, lo) if flip else (lo, hi)
+        for row in add:
+            src = [row[j] for j in neg] if flip else row
+            out = [left[x] for x in src] + [right[x] for x in src]
+            rows.append(array("H", out) if n > _LIST_ROWS_MAX else out)
     return rows
 
 
 def _dicyclic_table(nn: int):
     """Dicyclic group of order 4*nn: x of order 2*nn, y^2 = x^nn,
-    y x y^-1 = x^-1.  Element s*2nn + a stands for x^a y^s."""
+    y x y^-1 = x^-1.  Element s*2nn + a stands for x^a y^s.
+
+    x^a x^b = x^(a+b) and x^a y x^b y^t = x^(a-b+t*nn) y^(1-t), so each
+    half-row is an ascending or descending window of one doubled sequence,
+    and every row shares the same int objects."""
     h = 2 * nn
     n = 4 * nn
-    rows = _make_rows(n)
-    for s in (0, 1):
-        for a in range(h):
-            row = rows[s * h + a]
-            for t in (0, 1):
-                for b in range(h):
-                    if s == 0:
-                        row[t * h + b] = t * h + (a + b) % h
-                    elif t == 0:
-                        row[b] = h + (a - b) % h
-                    else:
-                        row[h + b] = (a - b + nn) % h
+    ids = list(range(n))
+    if n > _LIST_ROWS_MAX:
+        ids = array("H", ids)
+    lo2, hi2 = ids[:h] * 2, ids[h:] * 2
+    rlo2, rhi2 = lo2[::-1], hi2[::-1]
+    rows = [lo2[a:a + h] + hi2[a:a + h] for a in range(h)]
+    for a in range(h):
+        i, j = h - 1 - a, h - 1 - (a + nn) % h
+        rows.append(rhi2[i:i + h] + rlo2[j:j + h])
     return rows
 
 

@@ -112,7 +112,13 @@ def suite_chi(max_n: int | None = None) -> VerificationReport:
     def clique_instances():
         for n in range(1, bound + 1):
             gr = power_graph(construct_group(f"Z{n}")).graph
-            got = clique_number(gr).size
+            res = clique_number(gr)
+            got = res.size
+            mask = sum(1 << v for v in set(res.witness))
+            if not (len(res.witness) == mask.bit_count() == got
+                    and all(mask & ~gr.adj[v] == 1 << v for v in res.witness)):
+                yield False, f"n={n}: witness {res.witness} is not a clique of size {got}"
+                continue
             yield got == chi(n), f"n={n}: clique={got}, chi={chi(n)}"
 
     def recursion_instances():

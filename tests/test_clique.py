@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerindex.clique import clique_number
 from powerindex.graphs import SimpleGraph, complete_graph, empty_graph, one_factor, power_graph
@@ -85,3 +89,50 @@ def test_witness_deterministic():
     # two disjoint triangles: ties resolve the same way every run
     twin = SimpleGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert clique_number(twin).witness == (0, 1, 2)
+
+
+def _hub_over_independent_set(k, s):
+    """K_k on 0..k-1 beside a hub k joined to an independent set k+1..k+s.
+    With s >= k >= 2 the greedy incumbent is the hub and one set vertex,
+    while omega is k."""
+    edges = list(itertools.combinations(range(k), 2))
+    edges += [(k, k + 1 + i) for i in range(s)]
+    return SimpleGraph(k + 1 + s, edges)
+
+
+def test_deep_search_needs_no_recursion():
+    gr = _hub_over_independent_set(300, 301)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        res = clique_number(gr)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.size == 300
+    assert res.witness == tuple(range(300))
+    _assert_is_clique(gr, res.witness)
+
+
+@st.composite
+def _small_graphs(draw):
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 5))
+        s = draw(st.integers(0, 9 - k))
+        gr = _hub_over_independent_set(k, s)
+        perm = draw(st.permutations(range(gr.n)))
+        return gr.n, [(perm[u], perm[v]) for u, v in gr.edges()]
+    n = draw(st.integers(1, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, kept in zip(pairs, keep) if kept]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_small_graphs())
+def test_against_bruteforce_property(case):
+    n, edges = case
+    gr = SimpleGraph(n, edges)
+    res = clique_number(gr)
+    assert res.size == brute_max_clique(n, {frozenset(e) for e in edges})
+    assert len(set(res.witness)) == res.size
+    _assert_is_clique(gr, res.witness)

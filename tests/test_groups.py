@@ -96,6 +96,15 @@ def test_tables_unchanged():
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, spec
 
 
+def test_list_rows_share_int_objects():
+    # orders 257..1024 keep list rows, whose entries lie outside the small-int
+    # cache; shared ints hold such a table near 8 bytes per entry
+    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]"):
+        mul = construct_group(spec).mul
+        assert isinstance(mul[0], list), spec
+        assert len({id(x) for row in mul for x in row}) == len(mul), spec
+
+
 def test_family_orders():
     assert construct_group("Z1").n == 1
     assert construct_group("D6").n == 6

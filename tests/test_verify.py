@@ -6,6 +6,8 @@ import io
 
 import pytest
 
+import powerindex.verify as verify_module
+from powerindex.clique import CliqueResult
 from powerindex.verify import (
     SUITE_NAMES,
     ClaimResult,
@@ -57,6 +59,24 @@ def test_default_bounds_chi_suite():
     report = verify_suite("chi", progress=io.StringIO())
     assert report.passed
     assert report.claims[0].instances == 200
+
+
+@pytest.mark.parametrize("witness", [
+    (0, 1, 2, 3, 5),  # 2 and 3 are not adjacent in the power graph of Z6
+    (0, 1, 1, 2, 5),  # a repeated vertex
+    (0, 1, 2, 5),     # fewer vertices than the reported size
+])
+def test_chi_suite_rejects_a_bad_witness(monkeypatch, witness):
+    real = verify_module.clique_number
+
+    def forged(gr):
+        return CliqueResult(5, witness) if gr.n == 6 else real(gr)
+
+    monkeypatch.setattr(verify_module, "clique_number", forged)
+    claim = verify_suite("chi", 8, progress=io.StringIO()).claims[0]
+    assert claim.claim == "chi-clique-oracle"
+    assert not claim.passed and claim.instances == 6
+    assert claim.counterexample.startswith("n=6: witness")
 
 
 def test_kst_suite_to_order_30():

@@ -162,12 +162,13 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 def _cmd_path_cover(args: argparse.Namespace) -> int:
     g = construct_group(args.spec)
-    m = maximum_matching(power_graph(g).graph)
+    gr = power_graph(g).graph
+    m = maximum_matching(gr)
     if not m.is_perfect(g.n):
         _emit(args, {"found": False, "group": g.label},
               "no perfect matching, so no inverse-closed path cover")
         return 1
-    cover = path_cover_from_matching(g, m)
+    cover = path_cover_from_matching(g, gr, m)
     if args.json:
         print(json.dumps({"found": True, "group": g.label,
                           "paths": cover.to_json()}, sort_keys=True))

@@ -89,12 +89,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def is_complete(gr: SimpleGraph) -> bool:
-    """True iff every pair of distinct vertices is adjacent."""
-    full = (1 << gr.n) - 1
-    return all(gr.adj[v] == full ^ (1 << v) for v in range(gr.n))
-
-
 # ── pattern constructors ─────────────────────────────────────────────────────
 
 def complete_graph(n: int) -> SimpleGraph:
@@ -130,12 +124,6 @@ def apex_one_factor(n: int) -> SimpleGraph:
     return SimpleGraph(2 * n + 1, edges)
 
 
-def cycle_graph(n: int) -> SimpleGraph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 # ── power graphs ─────────────────────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def power_graph(g) -> PowerGraph:
     comparable with it (itself included), and a member's row is that mask
     without its own bit.  That is one OR per comparable pair of classes.
     The graph is rebuilt on each call from the classes, which the Group
-    caches.  Vertex labels record element orders for DOT export.
+    holds.  Vertex labels record element orders for DOT export.
     """
     classes = g.cyclic_classes
     member_masks = [sum(1 << x for x in cl.members) for cl in classes]

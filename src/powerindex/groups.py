@@ -56,9 +56,21 @@ class CyclicClass:
 
 
 class Group:
-    """Immutable-by-convention finite group on identifiers 0..n-1."""
+    """Immutable-by-convention finite group on identifiers 0..n-1.
 
-    __slots__ = ("n", "label", "mul", "identity", "inv", "orders", "_classes")
+    One walk over each cyclic subgroup gives every per-element fact: the
+    generators of <x> are the powers x^j with gcd(j, |x|) = 1, each has
+    order |x| and inverse x^(|x| - j).  The walk also gives
+    ``cyclic_classes``, the partition of the elements by the cyclic
+    subgroup they generate, indexed by least member so that the identity's
+    class comes first.  x and y are adjacent in the power graph exactly
+    when their classes are comparable, so each class is a clique of twins.
+    A member x of a class is adjacent to the rest of <x> and to the
+    generators of every larger cyclic subgroup containing x, which gives
+    the class its degree.
+    """
+
+    __slots__ = ("n", "label", "mul", "identity", "inv", "orders", "cyclic_classes")
 
     def __init__(self, mul, label: str):
         n = len(mul)
@@ -70,95 +82,47 @@ class Group:
         self.identity = 0
         orders = [0] * n
         inv = [0] * n
+        class_of = [-1] * n
+        subgroups: list[list[int]] = []
+        members: list[tuple[int, ...]] = []
         for x in range(n):
-            k, acc = 1, x
-            while acc != 0:
-                acc = mul[acc][x]
-                k += 1
-                if k > n:
-                    raise ValueError(
-                        f"powers of element {x} never reach the identity")
-            orders[x] = k
-            inv[x] = mul[x].index(0)
+            if class_of[x] != -1:
+                continue
+            powers = self.cyclic_subgroup(x)
+            k = len(powers)
+            gens = [j for j in range(k) if gcd(j, k) == 1]
+            for j in gens:
+                y = powers[j]
+                class_of[y] = len(members)
+                orders[y] = k
+                inv[y] = powers[-j]
+            subgroups.append(powers)
+            members.append(tuple(sorted(powers[j] for j in gens)))
+        comparable = [0] * len(members)
+        degree = [len(powers) - 1 for powers in subgroups]
+        for i, powers in enumerate(subgroups):
+            for j in {class_of[y] for y in powers}:
+                comparable[i] |= 1 << j
+                comparable[j] |= 1 << i
+                if j != i:
+                    degree[j] += len(members[i])
         self.orders = tuple(orders)
         self.inv = tuple(inv)
-        self._classes: tuple[CyclicClass, ...] | None = None
-
-    def power(self, x: int, k: int) -> int:
-        k %= self.orders[x]
-        acc = 0
-        for _ in range(k):
-            acc = self.mul[acc][x]
-        return acc
+        self.cyclic_classes = tuple(map(CyclicClass, members, comparable, degree))
 
     def cyclic_subgroup(self, x: int) -> list[int]:
         """Members of <x> in power order starting at the identity."""
         members = [0]
         acc = x
         while acc != 0:
+            if len(members) == self.n:
+                raise ValueError(f"powers of element {x} never reach the identity")
             members.append(acc)
             acc = self.mul[acc][x]
         return members
 
-    @property
-    def cyclic_classes(self) -> tuple[CyclicClass, ...]:
-        """Partition of the elements by the cyclic subgroup they generate,
-        computed on first use and cached.
-
-        Classes are indexed by their least member, so the identity's class
-        comes first.  x and y are adjacent in the power graph exactly when
-        their classes are comparable, so each class is a clique of twins.
-        Each cyclic subgroup is walked once; its generators are the powers
-        x^k with gcd(k, |x|) = 1.  A member x of a class is adjacent to the
-        rest of <x> and to the generators of every larger cyclic subgroup
-        containing x, which gives the class its degree.
-        """
-        if self._classes is None:
-            class_of = [-1] * self.n
-            subgroups: list[list[int]] = []
-            members: list[tuple[int, ...]] = []
-            for x in range(self.n):
-                if class_of[x] != -1:
-                    continue
-                powers = self.cyclic_subgroup(x)
-                k = len(powers)
-                gens = sorted(powers[j] for j in range(k) if gcd(j, k) == 1)
-                for y in gens:
-                    class_of[y] = len(members)
-                subgroups.append(powers)
-                members.append(tuple(gens))
-            comparable = [0] * len(members)
-            degree = [len(powers) - 1 for powers in subgroups]
-            for i, powers in enumerate(subgroups):
-                for j in {class_of[y] for y in powers}:
-                    comparable[i] |= 1 << j
-                    comparable[j] |= 1 << i
-                    if j != i:
-                        degree[j] += len(members[i])
-            self._classes = tuple(map(CyclicClass, members, comparable, degree))
-        return self._classes
-
-    def subgroup_generated(self, gens) -> frozenset[int]:
-        closure = {0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = self.mul[a][g]
-                if b not in closure:
-                    closure.add(b)
-                    frontier.append(b)
-        return frozenset(closure)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group({self.label!r}, n={self.n})"
-
-
-def element_order(g: Group, x: int) -> int:
-    """Least k >= 1 with x^k = e."""
-    if not 0 <= x < g.n:
-        raise ValueError(f"identifier {x} out of range for group of order {g.n}")
-    return g.orders[x]
 
 
 def involutions(g: Group) -> set[int]:
@@ -172,29 +136,6 @@ def is_abelian(g: Group) -> bool:
 
 def is_cyclic(g: Group) -> bool:
     return any(k == g.n for k in g.orders)
-
-
-def subgroups_of_prime_order(g: Group, p: int) -> list[frozenset[int]]:
-    """The distinct subgroups of prime order p (each is <x> for some x)."""
-    subs: list[frozenset[int]] = []
-    for x in range(g.n):
-        if g.orders[x] == p:
-            sub = frozenset(g.cyclic_subgroup(x))
-            if sub not in subs:
-                subs.append(sub)
-    return subs
-
-
-def unique_subgroup_of_prime_order(g: Group, p: int) -> bool:
-    """True iff all elements of order p generate one common subgroup.
-
-    False both when several such subgroups exist and when there are none at
-    all (p not dividing |G|); use subgroups_of_prime_order to tell the two
-    apart.
-    """
-    if len(factorize(p).factors) != 1 or factorize(p).factors[0][1] != 1:
-        raise ValueError(f"{p} is not prime")
-    return len(subgroups_of_prime_order(g, p)) == 1
 
 
 def is_generalized_quaternion(g: Group) -> bool:

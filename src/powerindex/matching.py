@@ -6,7 +6,9 @@ twin for cross-checking), the inverse-pairing near-perfect matching for odd
 group orders, path compression into alternating (x, x^-1) shape, extraction
 of a path cover from a perfect matching, and the reverse construction that
 assembles a perfect matching from such a cover.  The three-way equivalence
-checker ties them together per group.
+checker ties them together per group: it builds the power graph once and
+hands it to every step, so the path functions take the graph as an
+argument and check their inputs against it.
 """
 
 from __future__ import annotations
@@ -241,19 +243,18 @@ def _check_path_in_graph(gr: SimpleGraph, vertices: tuple[int, ...]) -> None:
             raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
 
 
-def compress_path(g: Group, p: InversePath) -> InversePath:
+def compress_path(g: Group, gr: SimpleGraph, p: InversePath) -> InversePath:
     """Rewrite an inverse-closed path into alternating (x, x^-1) shape.
 
     Walks the printed index bookkeeping: keep the first vertex, repeatedly
     jump past the position of the current vertex's inverse, and adjust the
-    final anchor when the walk lands on the last vertex itself.  The result
-    visits a subset of the input vertices, keeps both endpoints, and stays
-    a valid path in the power graph.
+    final anchor when the walk lands on the last vertex itself.  The input
+    must be a path of ``gr``, the power graph of g; the result visits a
+    subset of its vertices, keeps both endpoints, and stays a path of ``gr``.
     """
     u = p.vertices
     if not u:
         raise ValueError("empty path")
-    gr = power_graph(g).graph
     _check_path_in_graph(gr, u)
     members = set(u)
     for x in u:
@@ -276,22 +277,20 @@ def compress_path(g: Group, p: InversePath) -> InversePath:
     out: list[int] = []
     for x in anchors:
         out.extend((x, g.inv[x]))
-    result = InversePath(tuple(out))
-    _check_path_in_graph(gr, result.vertices)  # defensive; holds by construction
-    return result
+    return InversePath(tuple(out))
 
 
-def path_cover_from_matching(g: Group, m: Matching) -> PathCover:
-    """Walk a perfect matching into vertex-disjoint inverse-closed paths
-    whose endpoints are exactly the involutions plus the identity.
+def path_cover_from_matching(g: Group, gr: SimpleGraph, m: Matching) -> PathCover:
+    """Walk a perfect matching of the power graph ``gr`` of g into
+    vertex-disjoint inverse-closed paths whose endpoints are exactly the
+    involutions plus the identity.
 
     From each unused endpoint candidate (smallest identifier first) the walk
     alternates matched edges with inverse hops until it lands back on a
-    self-inverse vertex.
+    self-inverse vertex.  ``matching_from_path_cover`` checks the result.
     """
     if g.n % 2:
         raise ValueError("path cover extraction needs even group order")
-    gr = power_graph(g).graph
     m.validate(gr)
     if not m.is_perfect(g.n):
         raise ValueError("matching is not perfect")
@@ -316,30 +315,20 @@ def path_cover_from_matching(g: Group, m: Matching) -> PathCover:
             path.append(x)
         remaining.remove(x)
         paths.append(InversePath(tuple(path)))
-    cover = PathCover(tuple(paths))
-    seen: set[int] = set()
-    for p in cover.paths:
-        overlap = seen & set(p.vertices)
-        if overlap:
-            raise AssertionError(f"paths overlap at {sorted(overlap)}")
-        seen |= set(p.vertices)
-    if cover.endpoint_union != frozenset(ubar):
-        raise AssertionError("endpoints do not cover the involutions plus identity")
-    return cover
+    return PathCover(tuple(paths))
 
 
-def matching_from_path_cover(g: Group, c: PathCover) -> Matching:
-    """Assemble a perfect matching from a path cover witnessing condition
-    (iii): compress every identity-free path, take alternating edges, reduce
-    the identity's path to a single endpoint edge, and pair every vertex
-    left over with its inverse.
+def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matching:
+    """Assemble a perfect matching of the power graph ``gr`` of g from a
+    path cover witnessing condition (iii): compress every identity-free
+    path, take alternating edges, reduce the identity's path to a single
+    endpoint edge, and pair every vertex left over with its inverse.
 
     All (iii) requirements are validated and violations reported
     individually.  The interior count of each identity-free path is checked
     to be at least 2 at runtime; no instance violating it is known, but the
     step is not justified in general.
     """
-    gr = power_graph(g).graph
     ubar = involutions(g) | {0}
     if len(c.paths) * 2 != len(ubar):
         raise ValueError(
@@ -379,7 +368,7 @@ def matching_from_path_cover(g: Group, c: PathCover) -> Matching:
             raise ValueError(
                 f"path {v} has fewer than 2 interior vertices; "
                 "no such instance should exist, please report it")
-        compressed = compress_path(g, InversePath(interior))
+        compressed = compress_path(g, gr, InversePath(interior))
         chain = (v[0],) + compressed.vertices + (v[-1],)
         edges.extend((chain[j], chain[j + 1]) for j in range(0, len(chain), 2))
 
@@ -408,8 +397,9 @@ def check_theorem44(g: Group) -> Theorem44Report:
     """Decide matching-optimality for an even-order group and exercise the
     equivalence both ways.
 
-    Computes a maximum matching; when perfect, extracts a path cover and
-    rebuilds a perfect matching from it, asserting the three views agree.
+    Builds the power graph once and computes a maximum matching; when
+    perfect, extracts a path cover and rebuilds a perfect matching from it,
+    which raises unless the cover satisfies (iii) and the three views agree.
     """
     if g.n % 2:
         raise ValueError("the equivalence applies to even group orders")
@@ -417,8 +407,6 @@ def check_theorem44(g: Group) -> Theorem44Report:
     mm = maximum_matching(gr)
     if not mm.is_perfect(g.n):
         return Theorem44Report(False, None, None)
-    cover = path_cover_from_matching(g, mm)
-    rebuilt = matching_from_path_cover(g, cover)
-    if not rebuilt.is_perfect(g.n):  # pragma: no cover - validated above
-        raise AssertionError("round-trip lost perfection")
+    cover = path_cover_from_matching(g, gr, mm)
+    matching_from_path_cover(g, gr, cover)
     return Theorem44Report(True, mm, cover)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from powerindex.graphs import SimpleGraph
+
 
 def phi_brute(n: int) -> int:
     """Euler totient by direct gcd counting."""
@@ -52,6 +54,18 @@ def rho_brute(n: int) -> int:
 
 
 # ── graph-side oracles ────────────────────────────────────────────────────────
+
+def is_complete(gr: SimpleGraph) -> bool:
+    """True iff every pair of distinct vertices is adjacent."""
+    return all(gr.has_edge(u, v) for u, v in itertools.combinations(range(gr.n), 2))
+
+
+def cycle_graph(n: int) -> SimpleGraph:
+    """C_n on vertices 0..n-1 in cyclic order."""
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
 
 def brute_max_clique(n: int, edges: set[frozenset[int]]) -> int:
     """Largest clique size by trying every vertex subset, n <= ~16."""
@@ -251,6 +265,36 @@ def _table_orders(t: list[list[int]]) -> list[int]:
             k += 1
         orders.append(k)
     return orders
+
+
+def orders_and_inverses_brute(group) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per element, its order by walking its powers to the identity, and
+    its inverse by scanning its row of the table for the identity."""
+    return (tuple(_table_orders(group.mul)),
+            tuple(row.index(0) for row in group.mul))
+
+
+def subgroups_of_prime_order(group, p: int) -> list[frozenset[int]]:
+    """The distinct subgroups of prime order p, each as the set of powers
+    of one of its elements."""
+    subs: list[frozenset[int]] = []
+    for x in range(group.n):
+        powers = {0}
+        acc = x
+        while acc != 0:
+            powers.add(acc)
+            acc = group.mul[acc][x]
+        if len(powers) == p and powers not in subs:
+            subs.append(frozenset(powers))
+    return subs
+
+
+def unique_subgroup_of_prime_order(group, p: int) -> bool:
+    """True iff the group has exactly one subgroup of prime order p; False
+    also when p does not divide the order."""
+    if p < 2 or least_prime_factor(p) != p:
+        raise ValueError(f"{p} is not prime")
+    return len(subgroups_of_prime_order(group, p)) == 1
 
 
 def tables_isomorphic(t1: list[list[int]], t2: list[list[int]]) -> bool:

@@ -184,7 +184,7 @@ def test_criterion_09_path_cover_pipeline():
                 continue
             checked += 1
             ubar = involutions(g) | {0}
-            cover = path_cover_from_matching(g, mm)
+            cover = path_cover_from_matching(g, gr, mm)
             seen: set[int] = set()
             for p in cover.paths:
                 assert not seen & set(p.vertices)
@@ -193,14 +193,14 @@ def test_criterion_09_path_cover_pipeline():
                     assert gr.has_edge(a, b)
                 assert {g.inv[v] for v in p.vertices} == set(p.vertices)
             assert cover.endpoint_union == ubar
-            rebuilt = matching_from_path_cover(g, cover)
+            rebuilt = matching_from_path_cover(g, gr, cover)
             rebuilt.validate(gr)
             assert rebuilt.is_perfect(m)
             for p in cover.paths:
                 if 0 in p.endpoints or len(p.vertices) < 3:
                     continue
                 interior = p.vertices[1:-1]
-                out = compress_path(g, InversePath(interior)).vertices
+                out = compress_path(g, gr, InversePath(interior)).vertices
                 assert out[0] == interior[0]
                 assert out[-1] in (interior[-1], g.inv[interior[-1]])
                 assert set(out) <= set(interior)

@@ -9,7 +9,12 @@ import random
 import pytest
 
 import powerindex.embedding as embedding
-from oracles import embedding_brute, is_embedding, power_graph_edges_brute
+from oracles import (
+    embedding_brute,
+    is_embedding,
+    power_graph_edges_brute,
+    unique_subgroup_of_prime_order,
+)
 from powerindex.embedding import (
     check_embedding,
     embed_kst_cyclic,
@@ -33,7 +38,7 @@ from powerindex.graphs import (
     power_graph,
     star,
 )
-from powerindex.groups import catalog_for_order, construct_group, unique_subgroup_of_prime_order
+from powerindex.groups import catalog_for_order, construct_group
 from powerindex.numtheory import chi_table, factorize, is_prime, is_prime_power, totient
 
 

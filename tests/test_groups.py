@@ -11,25 +11,26 @@ import pytest
 from powerindex.groups import (
     COMPLETE_ORDERS,
     CayleyTableError,
+    Group,
     GroupSpecError,
     abelian_types,
     are_isomorphic,
     catalog_for_order,
     construct_group,
-    element_order,
     involutions,
     is_abelian,
     is_cyclic,
     is_generalized_quaternion,
     parse_group_spec,
-    subgroups_of_prime_order,
-    unique_subgroup_of_prime_order,
 )
 
 from oracles import (
     count_groups_up_to_isomorphism,
     is_generalized_quaternion_by_isomorphism,
+    orders_and_inverses_brute,
     power_graph_edges_brute,
+    subgroups_of_prime_order,
+    unique_subgroup_of_prime_order,
 )
 
 # Isomorphism class counts from the classification of small groups, for
@@ -120,13 +121,26 @@ def test_family_orders():
 def test_element_orders():
     z12 = construct_group("Z12")
     from math import gcd
-    for k in range(12):
-        assert element_order(z12, k) == (12 // gcd(12, k) if k else 1)
+    assert z12.orders == tuple(12 // gcd(12, k) for k in range(12))
+    assert z12.inv == tuple(-k % 12 for k in range(12))
     s4 = construct_group("S4")
     from collections import Counter
     assert Counter(s4.orders) == {1: 1, 2: 9, 3: 8, 4: 6}
-    with pytest.raises(ValueError):
-        element_order(z12, 12)
+
+
+def test_orders_and_inverses_match_oracle():
+    # the one cyclic-subgroup walk against a per-element power walk and
+    # row scan, across the catalog and on the large benchmark groups
+    groups = [g for m in range(1, 65) for g in catalog_for_order(m).groups]
+    groups += [construct_group(spec) for spec in
+               ("Z1680", "D600", "Dic300", "S6", "Ab[2,2,4,60]")]
+    for g in groups:
+        assert (g.orders, g.inv) == orders_and_inverses_brute(g), g.label
+
+
+def test_group_rejects_powers_missing_the_identity():
+    with pytest.raises(ValueError, match="never reach the identity"):
+        Group([[0, 1], [1, 1]], "bad")
 
 
 def test_involution_counts():
@@ -148,9 +162,10 @@ def test_cyclic_subgroup_and_generation():
     assert z12.cyclic_subgroup(0) == [0]
     d8 = construct_group("D8")
     rotation = next(x for x in range(8) if d8.orders[x] == 4)
-    reflection = next(x for x in range(8) if d8.orders[x] == 2 and x != d8.power(rotation, 2))
-    assert d8.subgroup_generated([rotation, reflection]) == frozenset(range(8))
-    assert d8.subgroup_generated([d8.power(rotation, 2)]) == frozenset({0, d8.power(rotation, 2)})
+    powers = d8.cyclic_subgroup(rotation)
+    assert powers[:2] == [0, rotation] and len(powers) == 4
+    assert d8.cyclic_subgroup(powers[2]) == [0, powers[2]]
+    assert d8.cyclic_subgroup(d8.inv[rotation]) == [0, powers[3], powers[2], rotation]
 
 
 def test_cyclic_classes_partition_and_comparability():

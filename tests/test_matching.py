@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from powerindex.graphs import SimpleGraph, cycle_graph, power_graph
+import powerindex.matching as matching
+from powerindex.graphs import SimpleGraph, power_graph
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
     InversePath,
@@ -23,7 +24,7 @@ from powerindex.matching import (
     path_cover_from_matching,
 )
 
-from oracles import brute_max_matching_size
+from oracles import brute_max_matching_size, cycle_graph
 
 
 def test_matching_type_invariants():
@@ -113,20 +114,20 @@ def test_near_perfect_matching_odd():
 def test_compress_path_fixed_point():
     z5 = construct_group("Z5")
     p = InversePath((2, 3))
-    assert compress_path(z5, p) == p
+    assert compress_path(z5, power_graph(z5).graph, p) == p
 
 
 def test_compress_path_z5_trace():
     # (a, b, b^-1, a^-1) with a=1, b=2 collapses to the endpoint pair
     z5 = construct_group("Z5")
-    out = compress_path(z5, InversePath((1, 2, 3, 4)))
+    out = compress_path(z5, power_graph(z5).graph, InversePath((1, 2, 3, 4)))
     assert out.vertices == (1, 4)
 
 
 def test_compress_path_z9_landing_swap():
     # the walk lands exactly on the last vertex, forcing the final swap
     z9 = construct_group("Z9")
-    out = compress_path(z9, InversePath((1, 6, 8, 3)))
+    out = compress_path(z9, power_graph(z9).graph, InversePath((1, 6, 8, 3)))
     assert out.vertices == (1, 8, 6, 3)
 
 
@@ -160,8 +161,11 @@ def test_compress_path_properties_by_enumeration():
         assert paths, spec
         for vertices in paths:
             p = InversePath(vertices)
-            out = compress_path(g, p)
+            out = compress_path(g, gr, p)
             assert set(out.vertices) <= set(vertices), (spec, vertices)
+            # still a path of the power graph
+            for a, b in zip(out.vertices, out.vertices[1:]):
+                assert gr.has_edge(a, b), (spec, vertices, out)
             assert out.endpoints == p.endpoints or (
                 # endpoints as a set always survive compression
                 False), (spec, vertices, out)
@@ -173,18 +177,20 @@ def test_compress_path_properties_by_enumeration():
 
 def test_compress_path_rejects_bad_inputs():
     z12 = construct_group("Z12")
+    gr = power_graph(z12).graph
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, InversePath((6,)))
+        compress_path(z12, gr, InversePath((6,)))
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, InversePath((0, 1)))
+        compress_path(z12, gr, InversePath((0, 1)))
+    z5 = construct_group("Z5")
     with pytest.raises(ValueError, match="inverse-closed"):
-        compress_path(construct_group("Z5"), InversePath((1, 2)))
+        compress_path(z5, power_graph(z5).graph, InversePath((1, 2)))
     with pytest.raises(ValueError, match="adjacent"):
-        compress_path(z12, InversePath((3, 9, 4, 8)))
+        compress_path(z12, gr, InversePath((3, 9, 4, 8)))
     with pytest.raises(ValueError, match="repeated"):
-        compress_path(z12, InversePath((1, 11, 1, 11)))
+        compress_path(z12, gr, InversePath((1, 11, 1, 11)))
     with pytest.raises(ValueError):
-        compress_path(z12, InversePath(()))
+        compress_path(z12, gr, InversePath(()))
 
 
 # ── path covers ──────────────────────────────────────────────────────────────
@@ -192,26 +198,30 @@ def test_compress_path_rejects_bad_inputs():
 def test_path_cover_cyclic_even():
     for n in range(2, 17):
         g = construct_group(f"Z{2 * n}")
-        cover = path_cover_from_matching(g, maximum_matching(power_graph(g).graph))
+        gr = power_graph(g).graph
+        cover = path_cover_from_matching(g, gr, maximum_matching(gr))
         assert len(cover.paths) == 1
         assert cover.endpoint_union == frozenset({0, n})
 
 
 def test_path_cover_q8():
     g = construct_group("Q8")
-    cover = path_cover_from_matching(g, maximum_matching(power_graph(g).graph))
+    gr = power_graph(g).graph
+    cover = path_cover_from_matching(g, gr, maximum_matching(gr))
     assert len(cover.paths) == 1
     assert cover.endpoint_union == frozenset({0, 2})
 
 
 def test_path_cover_rejects_bad_inputs():
     d8 = construct_group("D8")
-    not_perfect = maximum_matching(power_graph(d8).graph)
+    gr = power_graph(d8).graph
+    not_perfect = maximum_matching(gr)
     assert not not_perfect.is_perfect(8)
     with pytest.raises(ValueError, match="perfect"):
-        path_cover_from_matching(d8, not_perfect)
+        path_cover_from_matching(d8, gr, not_perfect)
+    z7 = construct_group("Z7")
     with pytest.raises(ValueError, match="even"):
-        path_cover_from_matching(construct_group("Z7"), Matching.from_edges([]))
+        path_cover_from_matching(z7, power_graph(z7).graph, Matching.from_edges([]))
 
 
 def test_path_cover_properties_across_catalog():
@@ -221,7 +231,7 @@ def test_path_cover_properties_across_catalog():
             mm = maximum_matching(gr)
             if not mm.is_perfect(g.n):
                 continue
-            cover = path_cover_from_matching(g, mm)
+            cover = path_cover_from_matching(g, gr, mm)
             invs = involutions(g)
             assert len(cover.paths) == (len(invs) + 1) // 2, g.label
             seen = set()
@@ -243,7 +253,7 @@ def test_path_cover_properties_across_catalog():
 def test_matching_from_hand_built_cover():
     g = construct_group("Z12")
     cover = PathCover((InversePath((0, 6)),))
-    m = matching_from_path_cover(g, cover)
+    m = matching_from_path_cover(g, power_graph(g).graph, cover)
     assert m.is_perfect(12)
     assert m.edges == ((0, 6), (1, 11), (2, 10), (3, 9), (4, 8), (5, 7))
 
@@ -255,27 +265,29 @@ def test_matching_from_cover_round_trip():
             mm = maximum_matching(gr)
             if not mm.is_perfect(g.n):
                 continue
-            cover = path_cover_from_matching(g, mm)
-            rebuilt = matching_from_path_cover(g, cover)
+            cover = path_cover_from_matching(g, gr, mm)
+            rebuilt = matching_from_path_cover(g, gr, cover)
             assert rebuilt.is_perfect(g.n), g.label
             rebuilt.validate(gr)
 
 
 def test_matching_from_cover_rejects_bad_covers():
     z12 = construct_group("Z12")
+    gr12 = power_graph(z12).graph
     with pytest.raises(ValueError, match="endpoint"):
-        matching_from_path_cover(z12, PathCover((InversePath((1, 11)),)))
+        matching_from_path_cover(z12, gr12, PathCover((InversePath((1, 11)),)))
     with pytest.raises(ValueError, match="paths"):
         matching_from_path_cover(
-            z12, PathCover((InversePath((0, 6)), InversePath((1, 11)))))
+            z12, gr12, PathCover((InversePath((0, 6)), InversePath((1, 11)))))
     with pytest.raises(ValueError, match="single-vertex"):
-        matching_from_path_cover(z12, PathCover((InversePath((0,)),)))
+        matching_from_path_cover(z12, gr12, PathCover((InversePath((0,)),)))
     q8 = construct_group("Q8")
+    gr8 = power_graph(q8).graph
     # (0, 1, 3, 2) is a legitimate cover: {1, 3} are mutual inverses
     assert matching_from_path_cover(
-        q8, PathCover((InversePath((0, 1, 3, 2)),))).is_perfect(8)
+        q8, gr8, PathCover((InversePath((0, 1, 3, 2)),))).is_perfect(8)
     with pytest.raises(ValueError, match="inverse-closed"):
-        matching_from_path_cover(q8, PathCover((InversePath((2, 5)),)))
+        matching_from_path_cover(q8, gr8, PathCover((InversePath((2, 5)),)))
 
 
 def test_check_theorem44():
@@ -297,6 +309,23 @@ def test_check_theorem44_across_catalog():
             assert report.optimal == maximum_matching(gr).is_perfect(g.n), g.label
             if report.optimal:
                 assert report.cover.endpoint_union == involutions(g) | {0}
+
+
+def test_check_theorem44_builds_one_power_graph(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g.label)
+        return power_graph(g)
+
+    monkeypatch.setattr(matching, "power_graph", counted)
+    outcomes = set()
+    for m in range(2, 33, 2):
+        for g in catalog_for_order(m).groups:
+            calls.clear()
+            outcomes.add(check_theorem44(g).optimal)
+            assert calls == [g.label], g.label
+    assert outcomes == {True, False}
 
 
 def test_serialization_shapes():

@@ -211,13 +211,13 @@ def _parse_json_graph(text: str) -> SimpleGraph:
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise GraphFormatError('JSON graph needs keys "n" and "edges"')
     n, edges = payload["n"], payload["edges"]
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # JSON true and false are not counts
         raise GraphFormatError('"n" must be a non-negative integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list of pairs')
     gr = SimpleGraph(n)
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise GraphFormatError(f"bad edge entry {e!r}")
         gr._add_edge(e[0], e[1])
     return gr

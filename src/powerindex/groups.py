@@ -6,10 +6,10 @@ products, external Cayley tables) and served per order through a catalog
 that deduplicates up to isomorphism and carries an explicit completeness
 flag.  The identity always sits at identifier 0.
 
-Abelian groups and direct products share one product builder.  Power-graph
-degrees, which the isomorphism invariants use, are read from the
-cyclic-class partition (``CyclicClass.degree``), so nothing here builds a
-power graph.
+Abelian groups and direct products share one product builder, and one
+greedy-generator walk (``_walk``) is the only closure under multiplication.
+Power-graph degrees come from the cyclic classes (``CyclicClass.degree``),
+so nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import json
 import re
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import gcd, isqrt, prod
+from operator import itemgetter
 
 from .numtheory import factorize
 
@@ -131,7 +132,9 @@ def involutions(g: Group) -> set[int]:
 
 
 def is_abelian(g: Group) -> bool:
-    return all(g.mul[a][b] == g.mul[b][a] for a in range(g.n) for b in range(a + 1, g.n))
+    """True iff the greedy generators of g commute with each other."""
+    gens = _generators(g)
+    return all(g.mul[a][b] == g.mul[b][a] for a in gens for b in gens)
 
 
 def is_cyclic(g: Group) -> bool:
@@ -153,21 +156,50 @@ def is_generalized_quaternion(g: Group) -> bool:
 
 # ── family constructors ──────────────────────────────────────────────────────
 
-_LIST_ROWS_MAX = 1024  # larger tables keep each row as an array('H')
+def _row_type(n: int):
+    """Row constructor of an n-element table: list, or array('H') past 1024."""
+    return list if n <= 1024 else partial(array, "H")
 
 
-def _make_rows(n: int):
-    if n > _LIST_ROWS_MAX:
-        return [array("H", bytes(2 * n)) for _ in range(n)]
-    return [[0] * n for _ in range(n)]
+def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
+    """Greedy generators of a group on 0..n-1 with identity 0, right(x, s) =
+    x*s, and a spanning walk.  Generator s is the least element outside the
+    subgroup H reached so far; its level lists the new elements of <H, s> as
+    steps (y, x, t), y = x*t with x reached earlier and t a generator,
+    starting with (s, 0, s).  Every element is a product of generators, so a map f
+    with f(x*t) = f(x)f(t) for each reached x and generator t so far is a
+    homomorphism on the subgroup reached (Light's test), by induction on
+    word length."""
+    inside = bytearray(n)
+    inside[0] = 1
+    gens: list[int] = []
+    levels = []
+    for s in range(n):
+        if inside[s]:
+            continue
+        gens.append(s)
+        steps = []
+        queue = [(0, (s,))] + [(x, (s,)) for lv in levels for x, _, _ in lv]
+        for x, ts in queue:
+            for t in ts:
+                y = right(x, t)
+                if not inside[y]:
+                    inside[y] = 1
+                    steps.append((y, x, t))
+                    queue.append((y, gens))
+        levels.append(steps)
+    return levels
+
+
+def _generators(g: Group) -> list[int]:
+    mul = g.mul
+    return [level[0][0] for level in _walk(g.n, lambda x, s: mul[x][s])]
 
 
 def _cyclic_table(n: int):
-    """Row a is the window a..a+n-1 of one doubled list, so every row shares
+    """Row a is the window a..a+n-1 of one doubled row, so every row shares
     the same n int objects."""
-    doubled = list(range(n)) * 2
-    if n > _LIST_ROWS_MAX:
-        doubled = array("H", doubled)
+    doubled = _row_type(n)(range(n)) * 2
     return [doubled[a:a + n] for a in range(n)]
 
 
@@ -185,6 +217,7 @@ def _gdih_table(ds: tuple[int, ...]):
     neg = [row.index(0) for row in add]
     h = len(add)
     n = 2 * h
+    as_row = _row_type(n)
     ids = list(range(n))
     lo, hi = ids[:h], ids[h:]
     rows = []
@@ -192,8 +225,7 @@ def _gdih_table(ds: tuple[int, ...]):
         left, right = (hi, lo) if flip else (lo, hi)
         for row in add:
             src = [row[j] for j in neg] if flip else row
-            out = [left[x] for x in src] + [right[x] for x in src]
-            rows.append(array("H", out) if n > _LIST_ROWS_MAX else out)
+            rows.append(as_row([left[x] for x in src] + [right[x] for x in src]))
     return rows
 
 
@@ -206,9 +238,7 @@ def _dicyclic_table(nn: int):
     and every row shares the same int objects."""
     h = 2 * nn
     n = 4 * nn
-    ids = list(range(n))
-    if n > _LIST_ROWS_MAX:
-        ids = array("H", ids)
+    ids = _row_type(n)(range(n))
     lo2, hi2 = ids[:h] * 2, ids[h:] * 2
     rlo2, rhi2 = lo2[::-1], hi2[::-1]
     rows = [lo2[a:a + h] + hi2[a:a + h] for a in range(h)]
@@ -218,45 +248,47 @@ def _dicyclic_table(nn: int):
     return rows
 
 
-def _perm_parity(p: tuple[int, ...]) -> int:
-    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inversions % 2
-
-
 def _perm_table(k: int, even_only: bool):
+    """S_k or A_k on its permutations in lexicographic order, the product
+    p*q being p after q.  Only the generators' rows compose permutations;
+    every other row follows the walk, as row(x*s) = row(x) permuted by
+    row(s)."""
+    pairs = list(itertools.combinations(range(k), 2))
     perms = [p for p in itertools.permutations(range(k))
-             if not even_only or _perm_parity(p) == 0]
+             if not even_only or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
-    rows = _make_rows(n)
-    rng = range(k)
-    for i, p in enumerate(perms):
-        row = rows[i]
-        for j, q in enumerate(perms):
-            row[j] = index[tuple(p[q[x]] for x in rng)]
+    as_row = _row_type(n)
+    rows = [as_row(index.values())] + [None] * (n - 1)
+    getters = {}
+    for level in _walk(n, lambda x, s: index[itemgetter(*perms[s])(perms[x])]):
+        for y, x, s in level:
+            if x == 0:
+                rows[y] = as_row(index[itemgetter(*q)(perms[y])] for q in perms)
+                getters[y] = itemgetter(*rows[y])
+            else:
+                rows[y] = as_row(getters[s](rows[x]))
     return rows
 
 
 def _product_table(mul_a, mul_b):
-    """Direct product of two tables; (a, b) sits at a * |B| + b.  Entries
+    """Direct product of two tables; (a, b) sits at a * |B| + b.  Row
+    (a1, b1) is, block by block, the block of ids of a1*a2 permuted by row
+    b1 of B (row 0 is the identity, which also covers |B| = 1), so entries
     come from one shared list of ints, not a new int each (26 MB at n = 960)."""
     na, nb = len(mul_a), len(mul_b)
     n = na * nb
     if n > ORDER_CAP:
         raise GroupSpecError(f"product order {n} exceeds the {ORDER_CAP} cap")
+    as_row = _row_type(n)
     ids = list(range(n))
     blocks = [ids[a * nb:(a + 1) * nb] for a in range(na)]
-    rows = _make_rows(n)
-    for a1 in range(na):
-        mra = mul_a[a1]
-        for b1 in range(nb):
-            row = rows[a1 * nb + b1]
-            mrb = mul_b[b1]
-            for a2 in range(na):
-                block = blocks[mra[a2]]
-                off = a2 * nb
-                for b2 in range(nb):
-                    row[off + b2] = block[mrb[b2]]
+    rows = [None] * n
+    for b1, mrb in enumerate(mul_b):
+        permuted = list(map(itemgetter(*mrb), blocks)) if b1 else blocks
+        for a1, mra in enumerate(mul_a):
+            segments = map(permuted.__getitem__, mra)
+            rows[a1 * nb + b1] = as_row(itertools.chain.from_iterable(segments))
     return rows
 
 
@@ -376,14 +408,14 @@ def _load_cayley(path: str, label: str) -> Group:
     if not isinstance(payload, dict) or "n" not in payload or "mul" not in payload:
         raise CayleyTableError('Cayley file needs keys "n" and "mul"')
     n, mul = payload["n"], payload["mul"]
-    if not isinstance(n, int) or n < 1 or n > ORDER_CAP:
+    if type(n) is not int or n < 1 or n > ORDER_CAP:
         raise CayleyTableError(f'"n" must be an integer in 1..{ORDER_CAP}')
     if (not isinstance(mul, list) or len(mul) != n
             or any(not isinstance(row, list) or len(row) != n for row in mul)):
         raise CayleyTableError(f'"mul" must be an {n}x{n} table')
     for row in mul:
         for entry in row:
-            if not isinstance(entry, int) or not 0 <= entry < n:
+            if type(entry) is not int or not 0 <= entry < n:
                 raise CayleyTableError(
                     f"closure violated: entry {entry!r} outside 0..{n - 1}")
     for x in range(n):
@@ -398,59 +430,53 @@ def _load_cayley(path: str, label: str) -> Group:
 
 
 def _check_associative(mul: list[list[int]]) -> None:
-    """Light's associativity test over a greedy generating set S.
+    """Light's associativity test over the greedy generators S of _walk.
 
     The elements s with x(sy) = (xs)y for all x, y are closed under
-    products, so once every s in S passes and S generates the whole table,
-    the table is associative (Clifford & Preston, *Algebraic Theory of
-    Semigroups* I, 1961).  S takes the least element outside the closure
-    of the previous ones under right multiplication, at O(n^2) per member.
-    Identity and right inverses are already checked, so an associative
-    table is a group, and each new member of S at least doubles the closure:
-    needing more than log2(n) of them proves associativity fails.
-    """
+    products, so once every s in S passes, at O(n^2) each, the table is
+    associative (Clifford & Preston, *Algebraic Theory of Semigroups* I,
+    1961), hence a group, as identity and right inverses are checked.  In
+    a group each member of S at least doubles the subgroup reached, so
+    needing more than log2(n) of them proves associativity fails."""
     n = len(mul)
-    inside = bytearray(n)
-    inside[0] = 1
-    closure = [0]
-    gens: list[int] = []
-    for s in range(n):
-        if inside[s]:
-            continue
-        if len(gens) == n.bit_length() - 1:
+    levels = _walk(n, lambda x, s: mul[x][s])
+    bound = n.bit_length() - 1
+    for i, level in enumerate(levels):
+        if i == bound:
+            reached = 1 + sum(map(len, levels[:i]))
             raise CayleyTableError(
-                f"associativity fails: {len(gens)} greedy generators reach "
-                f"only {len(closure)} of {n} elements, fewer than any group")
+                f"associativity fails: {i} greedy generators reach "
+                f"only {reached} of {n} elements, fewer than any group")
+        s = level[0][0]
         row_s = mul[s]
         for x in range(n):
             mx = mul[x]
             if mul[mx[s]] != [mx[c] for c in row_s]:
                 y = next(y for y in range(n) if mul[mx[s]][y] != mx[row_s[y]])
                 raise CayleyTableError(f"associativity fails at ({x}, {s}, {y})")
-        gens.append(s)
-        frontier = [mul[r][s] for r in closure]
-        while frontier:
-            y = frontier.pop()
-            if not inside[y]:
-                inside[y] = 1
-                closure.append(y)
-                frontier.extend(mul[y][t] for t in gens)
 
 
 # ── isomorphism testing ──────────────────────────────────────────────────────
 
 def _conjugacy_class_sizes(g: Group) -> list[int]:
-    """Per-element size of its conjugacy class."""
-    n = g.n
-    size = [0] * n
-    seen = [False] * n
-    for x in range(n):
-        if seen[x]:
+    """Per-element size of its conjugacy class, the orbit under conjugation
+    by the generators, whose products give every conjugation."""
+    mul, inv = g.mul, g.inv
+    gens = _generators(g)
+    size = [0] * g.n
+    for x in range(g.n):
+        if size[x]:
             continue
-        cls = {g.mul[g.mul[a][x]][g.inv[a]] for a in range(n)}
-        for y in cls:
-            seen[y] = True
-            size[y] = len(cls)
+        size[x] = 1
+        orbit = [x]
+        for y in orbit:
+            for s in gens:
+                z = mul[mul[inv[s]][y]][s]
+                if not size[z]:
+                    size[z] = 1
+                    orbit.append(z)
+        for y in orbit:
+            size[y] = len(orbit)
     return size
 
 
@@ -474,10 +500,15 @@ def group_fingerprint(g: Group) -> tuple:
 def are_isomorphic(g1: Group, g2: Group) -> bool:
     """Exact isomorphism test for catalog-scale groups.
 
-    Abelian pairs are decided by their element-order multisets; otherwise a
-    backtracking search assigns images consistent with multiplication,
-    filtering candidates by (order, power-graph degree, class size).
-    """
+    Abelian pairs are decided by their element-order multisets.  Otherwise
+    the search branches on the image in g2 of each greedy generator s of
+    g1 in turn: an unused element with the same (order, power-graph degree,
+    class size), in increasing order.  The walk carries the map over the
+    level of s as f(x*t) = f(x)f(t); the level is accepted when f stays
+    injective, keeps profiles and passes Light's test, which makes it a
+    homomorphism on the subgroup reached, and an isomorphism at the last
+    level.  Every isomorphism is one branch of the search, since it agrees
+    with the walk, so the answer is exact."""
     n = g1.n
     if g2.n != n:
         return False
@@ -493,46 +524,38 @@ def are_isomorphic(g1: Group, g2: Group) -> bool:
         return False
 
     mul1, mul2 = g1.mul, g2.mul
+    levels = _walk(n, lambda x, s: mul1[x][s])
+    gens = [level[0][0] for level in levels]
+    subgroups = list(itertools.accumulate(([y for y, _, _ in lv] for lv in levels), initial=[0]))
+    f = [0] * n
+    used = bytearray(n)  # the identity needs no mark: no other element has order 1
 
-    def close(f: list[int], used: list[bool]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            assigned = [x for x in range(n) if f[x] != -1]
-            for a in assigned:
-                fa = f[a]
-                for b in assigned:
-                    c = mul1[a][b]
-                    w = mul2[fa][f[b]]
-                    if f[c] == -1:
-                        if used[w] or prof1[c] != prof2[w]:
-                            return False
-                        f[c] = w
-                        used[w] = True
-                        changed = True
-                    elif f[c] != w:
-                        return False
-        return True
-
-    def extend(f: list[int], used: list[bool]) -> bool:
-        try:
-            a = f.index(-1)
-        except ValueError:
+    def extend(k: int) -> bool:
+        if k == len(levels):
             return True
+        s, members, gk = gens[k], subgroups[k + 1], gens[:k + 1]
         for b in range(n):
-            if not used[b] and prof1[a] == prof2[b]:
-                f2, used2 = f[:], used[:]
-                f2[a] = b
-                used2[b] = True
-                if close(f2, used2) and extend(f2, used2):
+            if used[b] or prof1[s] != prof2[b]:
+                continue
+            f[s] = b
+            used[b] = 1
+            images = [b]
+            for y, x, t in levels[k][1:]:
+                w = mul2[f[x]][f[t]]
+                if used[w] or prof1[y] != prof2[w]:
+                    break
+                f[y] = w
+                used[w] = 1
+                images.append(w)
+            else:
+                if all(f[mul1[x][t]] == mul2[f[x]][f[t]] for x in members for t in gk) \
+                        and extend(k + 1):
                     return True
+            for w in images:
+                used[w] = 0
         return False
 
-    f = [-1] * n
-    used = [False] * n
-    f[0] = 0
-    used[0] = True
-    return extend(f, used)
+    return extend(0)
 
 
 # ── per-order catalog ────────────────────────────────────────────────────────
@@ -546,21 +569,13 @@ class Catalog:
 
 def _partitions(r: int) -> list[tuple[int, ...]]:
     """Partitions of r as descending tuples, deterministic order."""
-    if r == 0:
-        return [()]
-    out = []
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> None:
+    def rec(remaining: int, cap: int):
         if remaining == 0:
-            out.append(tuple(acc))
-            return
+            yield ()
         for part in range(min(remaining, cap), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(r, r, [])
-    return out
+            for rest in rec(remaining - part, part):
+                yield (part, *rest)
+    return list(rec(r, r))
 
 
 def abelian_types(m: int) -> list[tuple[int, ...]]:
@@ -573,13 +588,8 @@ def abelian_types(m: int) -> list[tuple[int, ...]]:
     types = []
     for combo in itertools.product(*per_prime):
         width = max(len(parts) for _, parts in combo)
-        invariant = []
-        for j in range(width):
-            d = 1
-            for p, parts in combo:
-                if j < len(parts):
-                    d *= p ** parts[j]
-            invariant.append(d)
+        invariant = [prod(p ** parts[j] for p, parts in combo if j < len(parts))
+                     for j in range(width)]
         types.append(tuple(reversed(invariant)))  # ascending, d1 | d2 | ...
     types.sort(key=lambda t: (len(t), t))
     return types
@@ -611,11 +621,10 @@ def _candidate_specs(m: int) -> list[str]:
         if m % d == 0:
             e = m // d
             left, right = catalog_for_order(d).groups, catalog_for_order(e).groups
+            abelian = {g: is_abelian(g) for g in {*left, *right}}
             for ia, ga in enumerate(left):
-                for ib, gb in enumerate(right):
-                    if d == e and ib < ia:
-                        continue
-                    if is_abelian(ga) and is_abelian(gb):
+                for gb in right[ia:] if d == e else right:
+                    if abelian[ga] and abelian[gb]:
                         continue  # covered by the abelian enumeration
                     specs.append(f"Prod({ga.label},{gb.label})")
     return specs

@@ -116,6 +116,33 @@ def test_theta_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": True, "edges": []},
+    {"n": 3, "edges": [[0, True]]},
+])
+def test_graph_loader_rejects_json_booleans(capsys, tmp_path, payload):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    for command in ("theta", "critical"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [
+    {"n": True, "mul": [[False]]},
+    {"n": 2, "mul": [[0, 1], [1, False]]},
+])
+def test_cayley_loader_rejects_json_booleans(capsys, tmp_path, payload):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "power-graph", f"cayley:{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_critical_true_for_prime_power_clique(capsys, tmp_path):
     path = tmp_path / "k8.graph"
     path.write_text(serialize_graph(complete_graph(8), "edgelist"))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -17,11 +18,15 @@ from powerindex.groups import (
     are_isomorphic,
     catalog_for_order,
     construct_group,
+    group_fingerprint,
     involutions,
     is_abelian,
     is_cyclic,
     is_generalized_quaternion,
     parse_group_spec,
+    _candidate_specs,
+    _conjugacy_class_sizes,
+    _walk,
 )
 
 from oracles import (
@@ -30,6 +35,7 @@ from oracles import (
     orders_and_inverses_brute,
     power_graph_edges_brute,
     subgroups_of_prime_order,
+    tables_isomorphic,
     unique_subgroup_of_prime_order,
 )
 
@@ -73,7 +79,9 @@ def test_family_axioms():
 
 # sha256 of the rows of each multiplication table, one line per row with
 # entries separated by spaces, first 16 hex digits, as the tables were
-# built before abelian groups became iterated products of cyclic tables
+# built before abelian groups became iterated products of cyclic tables and
+# before permutation tables were filled along a generator walk; S7 and A7
+# keep array('H') rows
 TABLE_DIGESTS = {
     "Z12": "47c124f452e0a7c6",
     "Ab[1,4]": "c710ff76c54d89b9",
@@ -86,21 +94,35 @@ TABLE_DIGESTS = {
     "Dic5": "a0f35279e4a0e3f1",
     "S4": "8bda73dca8aba971",
     "A5": "558d596965f1c30a",
+    "S5": "fefb97013464c038",
+    "S6": "414f1d35d205b7b9",
+    "A6": "a7e0e45e1a667cac",
+    "A7": "e9692b76db6f57af",
+    "S7": "89ac9edd277254d9",
     "Prod(S3,Q8)": "4c2eecd13e5c8d82",
     "Prod(Z3,Prod(Z2,S3))": "95576f877e16c1f6",
 }
 
 
+def _table_digest(mul) -> str:
+    # fed row by row, so S7's 127 MB of text is never held at once
+    names = [str(x) for x in range(len(mul))]
+    h = hashlib.sha256()
+    for i, row in enumerate(mul):
+        h.update(("\n" * (i > 0) + " ".join(map(names.__getitem__, row))).encode())
+    return h.hexdigest()[:16]
+
+
 def test_tables_unchanged():
     for spec, digest in TABLE_DIGESTS.items():
-        text = "\n".join(" ".join(map(str, row)) for row in construct_group(spec).mul)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, spec
+        assert _table_digest(construct_group(spec).mul) == digest, spec
 
 
 def test_list_rows_share_int_objects():
     # orders 257..1024 keep list rows, whose entries lie outside the small-int
     # cache; shared ints hold such a table near 8 bytes per entry
-    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]"):
+    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]", "S6",
+                 "Prod(Z2,S5)"):
         mul = construct_group(spec).mul
         assert isinstance(mul[0], list), spec
         assert len({id(x) for row in mul for x in row}) == len(mul), spec
@@ -206,6 +228,82 @@ def test_products_and_isomorphism():
     assert not are_isomorphic(construct_group("Z12"), construct_group("Dic3"))
     assert not are_isomorphic(construct_group("GDih[3,3]"), construct_group("D18"))
     assert not are_isomorphic(construct_group("Z8"), construct_group("Z12"))
+
+
+def test_walk_reaches_each_element_once_from_greedy_generators():
+    for spec in ("Z1", "Z12", "Ab[2,2,2]", "Q16", "S4", "A5", "Prod(S3,Q8)"):
+        g = construct_group(spec)
+        levels = _walk(g.n, lambda x, s: g.mul[x][s])
+        reached, gens = [0], []
+        for level in levels:
+            s = level[0][0]
+            assert level[0] == (s, 0, s), spec
+            assert s == min(set(range(g.n)) - set(reached)), spec
+            gens.append(s)
+            for y, x, t in level:
+                assert y == g.mul[x][t] and x in reached and t in gens, spec
+                reached.append(y)
+        assert sorted(reached) == list(range(g.n)), spec
+        assert 2 ** len(gens) <= g.n, spec
+
+
+def test_generator_checks_match_all_element_scans():
+    # commuting generators and conjugation orbits under the generators
+    # against every pair of elements and conjugation by every element
+    groups = [g for m in range(1, 49) for g in catalog_for_order(m).groups]
+    for g in groups + [construct_group("S5")]:
+        n, mul = g.n, g.mul
+        assert is_abelian(g) == all(mul[a][b] == mul[b][a]
+                                    for a in range(n) for b in range(n)), g.label
+        sizes = [len({mul[mul[a][x]][g.inv[a]] for a in range(n)}) for x in range(n)]
+        assert _conjugacy_class_sizes(g) == sizes, g.label
+
+
+def _relabelled(g, seed: int) -> Group:
+    """g under a random relabelling that fixes the identity."""
+    rng = random.Random(seed)
+    perm = list(range(1, g.n))
+    rng.shuffle(perm)
+    perm = [0] + perm
+    mul = [[0] * g.n for _ in range(g.n)]
+    for a in range(g.n):
+        for b in range(g.n):
+            mul[perm[a]][perm[b]] = perm[g.mul[a][b]]
+    return Group(mul, f"relabelled {g.label}")
+
+
+def test_isomorphic_to_relabelled_copy():
+    groups = [g for m in range(1, 33) for g in catalog_for_order(m).groups]
+    groups += [construct_group("S5"), construct_group("Prod(S3,Q8)")]
+    for seed, g in enumerate(groups):
+        h = _relabelled(g, seed)
+        assert are_isomorphic(g, h), g.label
+        assert are_isomorphic(h, g), g.label
+        assert tables_isomorphic(g.mul, h.mul), g.label
+
+
+def test_isomorphism_agrees_with_oracle_on_equal_fingerprints():
+    # the catalog's candidates before deduplication, so that isomorphic
+    # pairs with equal fingerprints reach the search
+    compared = 0
+    for m in range(1, 33):
+        groups = [construct_group(spec) for spec in _candidate_specs(m)]
+        for i, g in enumerate(groups):
+            for h in groups[i + 1:]:
+                if group_fingerprint(g) == group_fingerprint(h):
+                    compared += 1
+                    assert are_isomorphic(g, h) == tables_isomorphic(g.mul, h.mul), (
+                        g.label, h.label)
+    assert compared >= 7
+
+
+def test_catalog_labels_unchanged():
+    # sha256 of the catalog labels of orders 1..128, one line per order with
+    # labels separated by spaces, first 16 hex digits, as the catalog stood
+    # before the isomorphism search branched on generator images
+    text = "\n".join(" ".join(g.label for g in catalog_for_order(m).groups)
+                     for m in range(1, 129))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "92ac3382ad506c3d"
 
 
 def test_cyclic_and_abelian_predicates():

@@ -131,12 +131,6 @@ def involutions(g: Group) -> set[int]:
     return {x for x in range(g.n) if g.orders[x] == 2}
 
 
-def is_abelian(g: Group) -> bool:
-    """True iff the greedy generators of g commute with each other."""
-    gens = _generators(g)
-    return all(g.mul[a][b] == g.mul[b][a] for a in gens for b in gens)
-
-
 def is_cyclic(g: Group) -> bool:
     return any(k == g.n for k in g.orders)
 
@@ -189,11 +183,6 @@ def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
                     queue.append((y, gens))
         levels.append(steps)
     return levels
-
-
-def _generators(g: Group) -> list[int]:
-    mul = g.mul
-    return [level[0][0] for level in _walk(g.n, lambda x, s: mul[x][s])]
 
 
 def _cyclic_table(n: int):
@@ -315,7 +304,8 @@ def parse_group_spec(spec: str):
 
     Grammar (exact, case-sensitive): Z<n>, Ab[d1,...,dk], D<2n>,
     GDih[d1,...,dk], Dic<n>, Q<2^k> (k >= 3), S<n>/A<n> (n <= 7),
-    Prod(spec,spec), cayley:<path>.
+    Prod(spec,spec), cayley:<path>.  A product's node holds its two factor
+    specs, each validated.
     """
     spec = spec.strip()
     if spec.startswith("cayley:"):
@@ -325,7 +315,9 @@ def parse_group_spec(spec: str):
         return ("cayley", path)
     if spec.startswith("Prod(") and spec.endswith(")"):
         left, right = _split_product(spec[len("Prod("):-1])
-        return ("prod", parse_group_spec(left), parse_group_spec(right))
+        parse_group_spec(left)
+        parse_group_spec(right)
+        return ("prod", left, right)
     m = _LIST.fullmatch(spec)
     if m:
         kind = "ab" if m.group(1) == "Ab" else "gdih"
@@ -387,9 +379,8 @@ def _build_table(tree):
         return _dicyclic_table(tree[1])
     if kind == "perm":
         return _perm_table(tree[2], even_only=tree[1] == "A")
-    if kind == "prod":
-        return _product_table(_build_table(tree[1]), _build_table(tree[2]))
-    raise GroupSpecError(f"cannot build {kind}")  # pragma: no cover
+    # a product; construct_group caches its factors, so no factor table is rebuilt
+    return _product_table(construct_group(tree[1]).mul, construct_group(tree[2]).mul)
 
 
 def _check_cap(n: int) -> None:
@@ -458,11 +449,10 @@ def _check_associative(mul: list[list[int]]) -> None:
 
 # ── isomorphism testing ──────────────────────────────────────────────────────
 
-def _conjugacy_class_sizes(g: Group) -> list[int]:
+def _conjugacy_class_sizes(g: Group, gens: list[int]) -> list[int]:
     """Per-element size of its conjugacy class, the orbit under conjugation
-    by the generators, whose products give every conjugation."""
+    by generators gens of g, whose products give every conjugation."""
     mul, inv = g.mul, g.inv
-    gens = _generators(g)
     size = [0] * g.n
     for x in range(g.n):
         if size[x]:
@@ -480,9 +470,9 @@ def _conjugacy_class_sizes(g: Group) -> list[int]:
     return size
 
 
-def _vertex_profiles(g: Group) -> list[tuple[int, int, int]]:
+def _vertex_profiles(g: Group, gens: list[int]) -> list[tuple[int, int, int]]:
     """Per element: its order, power-graph degree and conjugacy class size."""
-    sizes = _conjugacy_class_sizes(g)
+    sizes = _conjugacy_class_sizes(g, gens)
     profiles = [(0, 0, 0)] * g.n
     for cl in g.cyclic_classes:
         for x in cl.members:
@@ -500,32 +490,28 @@ def group_fingerprint(g: Group) -> tuple:
 def are_isomorphic(g1: Group, g2: Group) -> bool:
     """Exact isomorphism test for catalog-scale groups.
 
-    Abelian pairs are decided by their element-order multisets.  Otherwise
-    the search branches on the image in g2 of each greedy generator s of
-    g1 in turn: an unused element with the same (order, power-graph degree,
-    class size), in increasing order.  The walk carries the map over the
-    level of s as f(x*t) = f(x)f(t); the level is accepted when f stays
-    injective, keeps profiles and passes Light's test, which makes it a
-    homomorphism on the subgroup reached, and an isomorphism at the last
-    level.  Every isomorphism is one branch of the search, since it agrees
-    with the walk, so the answer is exact."""
+    Each group is walked once, for its greedy generators, which give its
+    conjugacy classes.  The multisets of (order, power-graph degree, class
+    size) profiles must agree; they tell abelian groups from the rest, as
+    a group is abelian iff every conjugacy class is a singleton.  The
+    search branches on the image in g2 of each greedy generator s of g1 in
+    turn: an unused element with the same profile, in increasing order.
+    The walk carries the map over the level of s as f(x*t) = f(x)f(t); the
+    level is accepted when f stays injective, keeps profiles and passes
+    Light's test, which makes it a homomorphism on the subgroup reached,
+    and an isomorphism at the last level.  Every isomorphism is one branch
+    of the search, since it agrees with the walk, so the answer is exact."""
     n = g1.n
     if g2.n != n:
         return False
-    if sorted(g1.orders) != sorted(g2.orders):
-        return False
-    ab1, ab2 = is_abelian(g1), is_abelian(g2)
-    if ab1 != ab2:
-        return False
-    if ab1:
-        return True  # abelian groups with equal order multisets are isomorphic
-    prof1, prof2 = _vertex_profiles(g1), _vertex_profiles(g2)
-    if sorted(prof1) != sorted(prof2):
-        return False
-
     mul1, mul2 = g1.mul, g2.mul
     levels = _walk(n, lambda x, s: mul1[x][s])
     gens = [level[0][0] for level in levels]
+    gens2 = [level[0][0] for level in _walk(n, lambda x, s: mul2[x][s])]
+    prof1, prof2 = _vertex_profiles(g1, gens), _vertex_profiles(g2, gens2)
+    if sorted(prof1) != sorted(prof2):
+        return False
+
     subgroups = list(itertools.accumulate(([y for y, _, _ in lv] for lv in levels), initial=[0]))
     f = [0] * n
     used = bytearray(n)  # the identity needs no mark: no other element has order 1
@@ -621,12 +607,16 @@ def _candidate_specs(m: int) -> list[str]:
         if m % d == 0:
             e = m // d
             left, right = catalog_for_order(d).groups, catalog_for_order(e).groups
-            abelian = {g: is_abelian(g) for g in {*left, *right}}
+            # A catalog of order m lists Z_m and the Ab types first; they are pairwise
+            # non-isomorphic, and every abelian group of order m is one of
+            # them, so every later abelian candidate is deduplicated away.
+            # Hence its first len(abelian_types(m)) groups are exactly the
+            # abelian ones, and products of two of them are skipped here,
+            # being covered by the abelian enumeration.
+            na, nb = len(abelian_types(d)), len(abelian_types(e))
             for ia, ga in enumerate(left):
-                for gb in right[ia:] if d == e else right:
-                    if abelian[ga] and abelian[gb]:
-                        continue  # covered by the abelian enumeration
-                    specs.append(f"Prod({ga.label},{gb.label})")
+                first = max(ia if d == e else 0, nb if ia < na else 0)
+                specs.extend(f"Prod({ga.label},{gb.label})" for gb in right[first:])
     return specs
 
 

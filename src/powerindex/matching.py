@@ -345,12 +345,9 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
         seen |= vset
         if any(g.inv[x] not in vset for x in vset):
             raise ValueError(f"path {p.vertices} is not inverse-closed")
-    union = set()
-    for p in c.paths:
-        union |= p.endpoints
-    if union != ubar:
+    if c.endpoint_union != ubar:
         raise ValueError(
-            f"path endpoints {sorted(union)} do not equal the involutions "
+            f"path endpoints {sorted(c.endpoint_union)} do not equal the involutions "
             f"plus identity {sorted(ubar)}")
 
     edges: list[tuple[int, int]] = []

@@ -23,12 +23,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def value(self) -> int:
-        n = 1
-        for p, r in self.factors:
-            n *= p**r
-        return n
-
 
 @dataclass(frozen=True)
 class OrderClass:

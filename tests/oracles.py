@@ -274,6 +274,12 @@ def orders_and_inverses_brute(group) -> tuple[tuple[int, ...], tuple[int, ...]]:
             tuple(row.index(0) for row in group.mul))
 
 
+def is_abelian_brute(group) -> bool:
+    """True iff every pair of elements commutes."""
+    mul = group.mul
+    return all(mul[a][b] == mul[b][a] for a in range(group.n) for b in range(a))
+
+
 def subgroups_of_prime_order(group, p: int) -> list[frozenset[int]]:
     """The distinct subgroups of prime order p, each as the set of powers
     of one of its elements."""

@@ -7,11 +7,18 @@ a usage error or malformed input.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import is_embedding
+from oracles import is_embedding, power_graph_edges_brute
+from powerindex import groups
 from powerindex.cli import main
 from powerindex.graphs import (
     complete_graph,
@@ -20,7 +27,7 @@ from powerindex.graphs import (
     power_graph,
     serialize_graph,
 )
-from powerindex.groups import construct_group
+from powerindex.groups import ORDER_CAP, construct_group
 from powerindex.matching import Matching
 
 
@@ -194,6 +201,93 @@ def test_power_graph_bad_spec(capsys):
     assert "error" in err
     code, _, err = run(capsys, "power-graph", "Q12")
     assert code == 2
+
+
+def test_power_graph_of_product_over_cayley_factor(capsys, tmp_path):
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps({"n": 3, "mul": [list(r) for r in construct_group("Z3").mul]}))
+    code, out, err = run(capsys, "power-graph", f"Prod(cayley:{z3},Z2)")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "power-graph", "Prod(Z3,Z2)")[1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "mul": [[0, 1], [1, 1]]}))
+    code, out, err = run(capsys, "power-graph", f"Prod(Z2,cayley:{bad})")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: inverse axiom violated") and err.count("\n") == 1
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+_PERMS = {"S3": 6, "S4": 24, "S5": 120, "S6": 720, "A4": 12, "A5": 60, "A6": 360}
+
+
+@st.composite
+def _family_spec(draw, lo: int, hi: int) -> tuple[str, int]:
+    """A Z, Ab, D, GDih, Dic, Q, S or A spec of order in lo..hi, and its order."""
+    quaternions = [2**k for k in range(3, 21) if lo <= 2**k <= hi]
+    perms = [item for item in _PERMS.items() if lo <= item[1] <= hi]
+    kind = draw(st.sampled_from(["Z", "D", "Dic", "Ab", "GDih"] + ["Q"] * bool(quaternions)
+                                + ["perm"] * bool(perms)))
+    if kind == "perm":
+        return draw(st.sampled_from(perms))
+    if kind == "Q":
+        n = draw(st.sampled_from(quaternions))
+        return f"Q{n}", n
+    scale = {"D": 2, "Dic": 4, "GDih": 2}.get(kind, 1)
+    ds = draw(st.lists(st.integers(1, 8), max_size=3)) if kind in ("Ab", "GDih") else []
+    unit = scale * math.prod(ds)
+    while -(-lo // unit) > hi // unit:  # no last factor brings the order into lo..hi
+        ds.pop()
+        unit = scale * math.prod(ds)
+    ds.append(draw(st.integers(-(-lo // unit), hi // unit)))
+    if kind in ("Ab", "GDih"):
+        return f"{kind}[{','.join(map(str, ds))}]", unit * ds[-1]
+    return f"{kind}{2 * ds[0] if kind == 'D' else ds[0]}", unit * ds[-1]
+
+
+@st.composite
+def _product_past_cap(draw) -> str:
+    left, a = draw(_family_spec(5, 1024))
+    right, _ = draw(_family_spec(ORDER_CAP // a + 1, 1024))
+    if draw(st.booleans()):
+        left, right = right, left
+    return f"Prod({left},{right})"
+
+
+def _main_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.one_of(_family_spec(ORDER_CAP + 1, 10**6).map(lambda item: item[0]),
+                 _product_past_cap()))
+def test_specs_past_the_order_cap_exit_2(spec):
+    # the factor groups a product builds are dropped again, so the cache
+    # does not grow over the examples
+    with patch.dict(groups._group_cache):
+        code, out, err = _main_captured(["power-graph", spec])
+    assert (code, out) == (2, ""), spec
+    assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1, spec
+
+
+@st.composite
+def _small_spec(draw) -> str:
+    if draw(st.booleans()):
+        return draw(_family_spec(1, 48))[0]
+    return f"Prod({draw(_family_spec(1, 8))[0]},{draw(_family_spec(1, 8))[0]})"
+
+
+@settings(PROPERTY, max_examples=100)
+@given(_small_spec(), st.sampled_from(["edgelist", "json"]))
+def test_power_graph_output_parses_back(spec, fmt):
+    code, out, err = _main_captured(["power-graph", spec, "--format", fmt])
+    assert (code, err) == (0, ""), spec
+    gr = parse_graph(out)
+    g = construct_group(spec)
+    assert gr.n == g.n, spec
+    assert {frozenset(e) for e in gr.edges()} == power_graph_edges_brute(g), spec
 
 
 def test_embed_positive(capsys, k6_file):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from powerindex import groups
 from powerindex.groups import (
     COMPLETE_ORDERS,
     CayleyTableError,
@@ -20,7 +21,6 @@ from powerindex.groups import (
     construct_group,
     group_fingerprint,
     involutions,
-    is_abelian,
     is_cyclic,
     is_generalized_quaternion,
     parse_group_spec,
@@ -31,6 +31,7 @@ from powerindex.groups import (
 
 from oracles import (
     count_groups_up_to_isomorphism,
+    is_abelian_brute,
     is_generalized_quaternion_by_isomorphism,
     orders_and_inverses_brute,
     power_graph_edges_brute,
@@ -248,15 +249,60 @@ def test_walk_reaches_each_element_once_from_greedy_generators():
 
 
 def test_generator_checks_match_all_element_scans():
-    # commuting generators and conjugation orbits under the generators
-    # against every pair of elements and conjugation by every element
-    groups = [g for m in range(1, 49) for g in catalog_for_order(m).groups]
-    for g in groups + [construct_group("S5")]:
+    # conjugation orbits under the greedy generators against conjugation
+    # by every element
+    catalog = [g for m in range(1, 49) for g in catalog_for_order(m).groups]
+    for g in catalog + [construct_group("S5")]:
         n, mul = g.n, g.mul
-        assert is_abelian(g) == all(mul[a][b] == mul[b][a]
-                                    for a in range(n) for b in range(n)), g.label
+        gens = [level[0][0] for level in _walk(n, lambda x, s: mul[x][s])]
         sizes = [len({mul[mul[a][x]][g.inv[a]] for a in range(n)}) for x in range(n)]
-        assert _conjugacy_class_sizes(g) == sizes, g.label
+        assert _conjugacy_class_sizes(g, gens) == sizes, g.label
+
+
+def test_catalog_lists_its_abelian_groups_first():
+    # _candidate_specs skips products of two abelian groups by position
+    for m in range(1, 65):
+        k = len(abelian_types(m))
+        commuting = [is_abelian_brute(g) for g in catalog_for_order(m).groups]
+        assert commuting[:k] == [True] * k, m
+        assert not any(commuting[k:]), m
+
+
+def test_product_reuses_cached_factor_tables(monkeypatch):
+    spec = "Prod(Z3,Prod(Z2,S3))"
+    construct_group("Prod(Z2,S3)")
+    monkeypatch.delitem(groups._group_cache, spec, raising=False)
+    calls = []
+    product_table = groups._product_table
+
+    def counted(mul_a, mul_b):
+        calls.append((len(mul_a), len(mul_b)))
+        return product_table(mul_a, mul_b)
+
+    monkeypatch.setattr(groups, "_product_table", counted)
+    g = construct_group(spec)
+    assert calls == [(3, 12)]
+    assert _table_digest(g.mul) == TABLE_DIGESTS[spec]
+
+
+def test_isomorphism_walks_each_group_once(monkeypatch):
+    calls = []
+    walk = groups._walk
+
+    def counted(n, right):
+        calls.append(n)
+        return walk(n, right)
+
+    monkeypatch.setattr(groups, "_walk", counted)
+    # non-abelian pairs with equal fingerprints, and two pairs told apart
+    # by their profiles
+    for a, b, expected in (("S3", "D6", True), ("D12", "Prod(Z2,D6)", True),
+                           ("GDih[3,6]", "Prod(Z2,GDih[3,3])", True),
+                           ("D8", "Q8", False), ("Dic3", "Prod(Z3,Z4)", False)):
+        g, h = construct_group(a), construct_group(b)
+        calls.clear()
+        assert are_isomorphic(g, h) == expected, (a, b)
+        assert calls == [g.n, g.n], (a, b)
 
 
 def _relabelled(g, seed: int) -> Group:
@@ -273,9 +319,13 @@ def _relabelled(g, seed: int) -> Group:
 
 
 def test_isomorphic_to_relabelled_copy():
-    groups = [g for m in range(1, 33) for g in catalog_for_order(m).groups]
-    groups += [construct_group("S5"), construct_group("Prod(S3,Q8)")]
-    for seed, g in enumerate(groups):
+    # abelian pairs go through the same search as the rest, so every
+    # abelian type of the larger 2-power orders is covered too
+    cases = [g for m in range(1, 33) for g in catalog_for_order(m).groups]
+    cases += [construct_group("S5"), construct_group("Prod(S3,Q8)")]
+    cases += [construct_group(f"Z{m}" if len(t) == 1 else f"Ab[{','.join(map(str, t))}]")
+              for m in (16, 32, 64, 128) for t in abelian_types(m)]
+    for seed, g in enumerate(cases):
         h = _relabelled(g, seed)
         assert are_isomorphic(g, h), g.label
         assert are_isomorphic(h, g), g.label
@@ -311,9 +361,6 @@ def test_cyclic_and_abelian_predicates():
     assert is_cyclic(construct_group("Prod(Z3,Z5)"))
     assert not is_cyclic(construct_group("Ab[2,2]"))
     assert not is_cyclic(construct_group("D8"))
-    assert is_abelian(construct_group("Ab[2,12]"))
-    assert not is_abelian(construct_group("S3"))
-    assert not is_abelian(construct_group("GDih[3,3]"))
 
 
 def test_prime_order_subgroups():

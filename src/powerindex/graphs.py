@@ -59,9 +59,6 @@ class SimpleGraph:
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         out = []

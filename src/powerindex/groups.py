@@ -20,7 +20,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from math import gcd, isqrt, prod
+from math import factorial, gcd, isqrt, prod
 from operator import itemgetter
 
 from .numtheory import factorize
@@ -267,8 +267,6 @@ def _product_table(mul_a, mul_b):
     come from one shared list of ints, not a new int each (26 MB at n = 960)."""
     na, nb = len(mul_a), len(mul_b)
     n = na * nb
-    if n > ORDER_CAP:
-        raise GroupSpecError(f"product order {n} exceeds the {ORDER_CAP} cap")
     as_row = _row_type(n)
     ids = list(range(n))
     blocks = [ids[a * nb:(a + 1) * nb] for a in range(na)]
@@ -363,24 +361,30 @@ def construct_group(spec: str) -> Group:
     return _group_cache[spec]
 
 
+def _order(tree) -> int:
+    """The order a parse tree names, by arithmetic on the tree; a cayley:
+    factor is loaded, since its loader caps n itself."""
+    kind, arg = tree[0], tree[-1]
+    if kind == "prod":
+        return prod(_order(parse_group_spec(spec)) for spec in tree[1:])
+    if kind == "cayley":
+        return _load_cayley(arg, arg).n
+    if kind == "perm":  # A1 and A2 are trivial
+        return factorial(arg) // (2 if tree[1] == "A" and arg > 1 else 1)
+    if kind in ("ab", "gdih"):
+        return prod(arg) * (2 if kind == "gdih" else 1)
+    return arg * (4 if kind == "dicyclic" else 1)
+
+
 def _build_table(tree):
-    kind = tree[0]
-    if kind == "cyclic":
-        _check_cap(tree[1])
-        return _cyclic_table(tree[1])
-    if kind == "ab":
-        _check_cap(prod(tree[1]))
-        return _abelian_table(tree[1])
-    if kind == "gdih":
-        _check_cap(2 * prod(tree[1]))
-        return _gdih_table(tree[1])
-    if kind == "dicyclic":
-        _check_cap(4 * tree[1])
-        return _dicyclic_table(tree[1])
+    _check_cap(_order(tree))  # before any factor of a product is built
+    kind, arg = tree[0], tree[-1]
     if kind == "perm":
-        return _perm_table(tree[2], even_only=tree[1] == "A")
-    # a product; construct_group caches its factors, so no factor table is rebuilt
-    return _product_table(construct_group(tree[1]).mul, construct_group(tree[2]).mul)
+        return _perm_table(arg, even_only=tree[1] == "A")
+    if kind == "prod":  # construct_group caches the factors, so none is rebuilt
+        return _product_table(construct_group(tree[1]).mul, construct_group(arg).mul)
+    return {"cyclic": _cyclic_table, "ab": _abelian_table, "gdih": _gdih_table,
+            "dicyclic": _dicyclic_table}[kind](arg)
 
 
 def _check_cap(n: int) -> None:

@@ -1,14 +1,14 @@
 """Matchings and inverse-closed path covers in power graphs.
 
 This module carries the constructive side of the matching theory: exact
-maximum matching on general graphs (blossom contraction, plus a brute-force
-twin for cross-checking), the inverse-pairing near-perfect matching for odd
-group orders, path compression into alternating (x, x^-1) shape, extraction
-of a path cover from a perfect matching, and the reverse construction that
-assembles a perfect matching from such a cover.  The three-way equivalence
-checker ties them together per group: it builds the power graph once and
-hands it to every step, so the path functions take the graph as an
-argument and check their inputs against it.
+maximum matching on general graphs (blossom contraction on the bitset
+rows, plus a brute-force twin), the inverse-pairing near-perfect matching
+for odd group orders, path compression into alternating (x, x^-1) shape,
+extraction of a path cover from a perfect matching, and the reverse
+construction that assembles a perfect matching from such a cover.  The
+three-way equivalence checker ties them together per group: it builds the
+power graph once and hands it to every step, so the path functions take
+the graph as an argument and check their inputs against it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import SimpleGraph, power_graph
+from .graphs import SimpleGraph, _bits, power_graph
 from .groups import Group, involutions
 
 
@@ -94,81 +94,80 @@ class PathCover:
 def maximum_matching(gr: SimpleGraph) -> Matching:
     """Exact maximum-cardinality matching via blossom contraction.
 
-    Deterministic: augmenting searches start from vertices in ascending
-    order and scan neighbours in ascending order.
+    Deterministic: searches start from vertices in ascending order and scan
+    each popped vertex's bitset row in ascending order.  A failed search
+    leaves a Hungarian tree, which no later augmenting path meets (Edmonds,
+    *Canad. J. Math.* 17, 1965; Lovász & Plummer, *Matching Theory*, 1986),
+    so its vertices leave ``alive`` for good.
     """
-    n = gr.n
-    adj = [gr.neighbors(v) for v in range(n)]
+    n, adj = gr.n, gr.adj
     match = [-1] * n
-    for v in range(n):  # cheap greedy start
-        if match[v] == -1:
-            for w in adj[v]:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
-    parent = [-1] * n
-    base = list(range(n))
-    used = [False] * n
+    free = alive = (1 << n) - 1
+    for v in range(n):  # greedy start: v takes its lowest unmatched neighbour
+        cand = adj[v] & free if free >> v & 1 else 0
+        if cand:
+            w = (cand & -cand).bit_length() - 1
+            match[v], match[w] = w, v
+            free ^= 1 << v | 1 << w
+    parent, base, used = [-1] * n, list(range(n)), [False] * n
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            seen[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if seen[b]:
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.update((base[v], base[match[v]]))
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
 
-    def try_augment(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            parent[i] = -1
-            base[i] = i
+    def try_augment(root: int) -> None:
+        nonlocal alive
+        tree = 1 << root  # the vertices this search marks used or gives a parent
         used[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in adj[v]:
+            for to in _bits(adj[v] & alive):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     cur = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    for i in _bits(tree):
+                        if base[i] in blossom:
                             base[i] = cur
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree |= 1 << to
                     if match[to] == -1:
                         while to != -1:  # flip along the augmenting path
-                            pv = parent[to]
-                            nxt = match[pv]
-                            match[to] = pv
-                            match[pv] = to
+                            pv, nxt = parent[to], match[parent[to]]
+                            match[to], match[pv] = pv, to
                             to = nxt
-                        return True
+                        for i in _bits(tree):
+                            used[i], parent[i], base[i] = False, -1, i
+                        return
+                    tree |= 1 << match[to]
                     used[match[to]] = True
                     queue.append(match[to])
-        return False
+        alive &= ~tree  # a Hungarian tree: retired without resetting its labels
 
     for v in range(n):
         if match[v] == -1:

@@ -32,7 +32,7 @@ from .graphs import (
     complete_graph,
     power_graph,
 )
-from .groups import catalog_for_order, construct_group, involutions
+from .groups import catalog_for_order, construct_group
 from .matching import (
     check_theorem44,
     maximum_matching,
@@ -339,19 +339,13 @@ def suite_thm44(max_n: int | None = None) -> VerificationReport:
     def equivalence_instances():
         for m in range(2, bound + 1, 2):
             for g in catalog_for_order(m).groups:
+                # raises, among others, on a wrong path count or endpoint union
                 try:
-                    report = check_theorem44(g)
+                    check_theorem44(g)
                 except (ValueError, AssertionError) as exc:
                     yield False, f"{g.label}: {exc}"
-                    continue
-                if not report.optimal:
+                else:
                     yield True, g.label
-                    continue
-                cover = report.cover
-                k = (len(involutions(g)) + 1) // 2
-                ok = (len(cover.paths) == k
-                      and cover.endpoint_union == involutions(g) | {0})
-                yield ok, f"{g.label}: {len(cover.paths)} paths"
 
     claims = (
         _claim("thm44-equivalence",

@@ -11,6 +11,7 @@ from powerindex.graphs import (
     FORMATS,
     GraphFormatError,
     SimpleGraph,
+    _bits,
     apex_one_factor,
     complete_bipartite,
     complete_graph,
@@ -158,7 +159,7 @@ def _components(gr: SimpleGraph, keep: set[int]) -> list[set[int]]:
         frontier = [seed]
         while frontier:
             v = frontier.pop()
-            for w in gr.neighbors(v):
+            for w in _bits(gr.adj[v]):
                 if w in todo and w not in comp:
                     comp.add(w)
                     frontier.append(w)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 
@@ -438,6 +439,13 @@ def test_order_cap_enforced():
     with pytest.raises(GroupSpecError):
         construct_group("Prod(S5,Z43)")  # 120 * 43 = 5160 > 5040
     assert parse_group_spec("S7") == ("perm", "S", 7)  # exactly at the cap
+
+
+def test_product_past_the_cap_builds_no_factor():
+    with patch.dict(groups._group_cache, clear=True):
+        with pytest.raises(GroupSpecError, match="cap"):
+            construct_group("Prod(S7,Z2)")
+        assert "S7" not in groups._group_cache
 
 
 def test_cayley_round_trip(tmp_path):

@@ -7,9 +7,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerindex.matching as matching
-from powerindex.graphs import SimpleGraph, power_graph
+from powerindex.graphs import SimpleGraph, _bits, power_graph
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
     InversePath,
@@ -62,6 +64,36 @@ def test_engines_agree_on_random_graphs():
         brute.validate(gr)
 
 
+@st.composite
+def _core_with_pendants_and_odd_cycles(draw) -> SimpleGraph:
+    """A random core with pendant vertices, triangles and pentagons hung on
+    it, at most 16 vertices in a drawn order, so that searches from
+    pendants fail and later searches can still augment."""
+    n = draw(st.integers(2, 6))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    while n < 16:
+        at = draw(st.integers(0, n - 1))
+        # stop, a pendant (most often), a triangle or a pentagon
+        new = draw(st.sampled_from((0, 1, 1, 1, 1, 2, 4)))
+        if new == 0 or n + new > 16:
+            break
+        path = [at, *range(n, n + new)]
+        edges += zip(path, path[1:])
+        if new > 1:
+            edges.append((path[-1], at))
+        n += new
+    label = draw(st.permutations(range(n)))
+    return SimpleGraph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_core_with_pendants_and_odd_cycles())
+def test_retired_search_trees_keep_the_matching_maximum(gr):
+    m = maximum_matching(gr)
+    m.validate(gr)
+    assert m.size == maximum_matching_bruteforce(gr).size
+
+
 def test_engines_agree_on_power_graphs():
     for m in range(1, 15):
         for g in catalog_for_order(m).groups:
@@ -83,9 +115,12 @@ def test_cyclic_even_orders_have_perfect_matchings():
 
 
 def test_dihedral_never_has_perfect_matching():
-    for n in range(2, 26):
+    # the reflections touch only the identity, and Z_n has a perfect
+    # matching (n even) or a near-perfect one missing the identity (n odd),
+    # so the maximum is exact; the pendant reflections make many searches fail
+    for n in range(2, 101):
         gr = power_graph(construct_group(f"D{2 * n}")).graph
-        assert maximum_matching(gr).size < n, n
+        assert maximum_matching(gr).size == (n + 1) // 2, n
 
 
 def test_dicyclic_orders_have_perfect_matchings():
@@ -142,7 +177,7 @@ def _inverse_closed_paths(g, gr, max_len):
             found.append(tuple(path))
         if len(path) == max_len:
             return
-        for w in gr.neighbors(path[-1]):
+        for w in _bits(gr.adj[path[-1]]):
             if w in vertices and w not in path:
                 path.append(w)
                 extend(path)

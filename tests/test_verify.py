@@ -6,8 +6,10 @@ import io
 
 import pytest
 
+import powerindex.matching as matching_module
 import powerindex.verify as verify_module
 from powerindex.clique import CliqueResult
+from powerindex.matching import PathCover
 from powerindex.verify import (
     SUITE_NAMES,
     ClaimResult,
@@ -77,6 +79,19 @@ def test_chi_suite_rejects_a_bad_witness(monkeypatch, witness):
     assert claim.claim == "chi-clique-oracle"
     assert not claim.passed and claim.instances == 6
     assert claim.counterexample.startswith("n=6: witness")
+
+
+def test_thm44_suite_fails_on_a_cover_missing_a_path(monkeypatch):
+    real = matching_module.path_cover_from_matching
+
+    def short(g, gr, m):
+        return PathCover(real(g, gr, m).paths[1:])
+
+    monkeypatch.setattr(matching_module, "path_cover_from_matching", short)
+    claim = verify_suite("thm44", 8, progress=io.StringIO()).claims[0]
+    assert claim.claim == "thm44-equivalence"
+    assert not claim.passed and claim.instances == 1
+    assert claim.counterexample.startswith("Z2: expected 1 paths")
 
 
 def test_kst_suite_to_order_30():

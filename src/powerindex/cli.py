@@ -70,15 +70,10 @@ def _cmd_theta_complete(args: argparse.Namespace) -> int:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    pattern = _load_graph(args.graphfile)
-    if args.max_order is not None and args.max_order < pattern.n:
-        print(f"error: --max-order {args.max_order} is below the vertex "
-              f"count {pattern.n}", file=sys.stderr)
-        return 2
-    try:
-        res = theta_search(pattern, args.max_order)
-    except ValueError as exc:
-        _emit(args, {"found": False, "max_order": args.max_order}, str(exc))
+    res = theta_search(_load_graph(args.graphfile), args.max_order)
+    if res is None:
+        _emit(args, {"found": False, "max_order": args.max_order},
+              f"no embedding found up to order {args.max_order}")
         return 1
     if not res.exact:
         print("note: some searched orders have an incomplete catalog; the "
@@ -130,34 +125,22 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     if witness is None:
         _emit(args, {"found": False, "group": g.label}, "no embedding")
         return 1
-    if args.json:
-        print(json.dumps({"found": True, "group": g.label,
-                          "mapping": witness.as_dict()}, sort_keys=True))
-    else:
-        for v, w in witness.mapping:
-            print(f"{v} -> {w}")
+    _emit(args, {"found": True, "group": g.label, "mapping": witness.as_dict()},
+          "\n".join(f"{v} -> {w}" for v, w in witness.mapping))
     return 0
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
     g = construct_group(args.spec)
     m = maximum_matching(power_graph(g).graph)
-    payload = {
-        "group": g.label,
-        "size": m.size,
-        "perfect": m.is_perfect(g.n),
-        "near_perfect": m.is_near_perfect(g.n),
-        "edges": m.to_json(),
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        kind = ("perfect" if payload["perfect"]
-                else "near-perfect" if payload["near_perfect"] else "maximum")
-        print(f"{kind} matching of size {m.size}")
-        for u, v in m.edges:
-            print(f"{u} {v}")
-    return 0 if payload["perfect"] else 1
+    perfect, near_perfect = m.is_perfect(g.n), m.is_near_perfect(g.n)
+    kind = ("perfect" if perfect
+            else "near-perfect" if near_perfect else "maximum")
+    _emit(args, {"group": g.label, "size": m.size, "perfect": perfect,
+                 "near_perfect": near_perfect, "edges": m.to_json()},
+          "\n".join([f"{kind} matching of size {m.size}"]
+                    + [f"{u} {v}" for u, v in m.edges]))
+    return 0 if perfect else 1
 
 
 def _cmd_path_cover(args: argparse.Namespace) -> int:
@@ -169,12 +152,8 @@ def _cmd_path_cover(args: argparse.Namespace) -> int:
               "no perfect matching, so no inverse-closed path cover")
         return 1
     cover = path_cover_from_matching(g, gr, m)
-    if args.json:
-        print(json.dumps({"found": True, "group": g.label,
-                          "paths": cover.to_json()}, sort_keys=True))
-    else:
-        for p in cover.paths:
-            print(" ".join(str(v) for v in p.vertices))
+    _emit(args, {"found": True, "group": g.label, "paths": cover.to_json()},
+          "\n".join(" ".join(map(str, p.vertices)) for p in cover.paths))
     return 0
 
 
@@ -205,31 +184,21 @@ def _cmd_kst_optimal(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify_suite(args.suite, args.max)
-    if args.json:
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        for c in report.claims:
-            if c.passed:
-                print(f"PASS {c.claim} ({c.instances} instances)")
-            else:
-                print(f"FAIL {c.claim} ({c.instances} instances): "
-                      f"{c.counterexample}")
-        print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
+    lines = [f"PASS {c.claim} ({c.instances} instances)" if c.passed
+             else f"FAIL {c.claim} ({c.instances} instances): {c.counterexample}"
+             for c in report.claims]
+    lines.append(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
+    _emit(args, report.to_json(), "\n".join(lines))
     return 0 if report.passed else 1
 
 
 def _cmd_scan_theta_rho(args: argparse.Namespace) -> int:
-    rows = []
+    rows, lines = [], []
     for n in range(2, args.nmax + 1):
-        theta = theta_complete(n)
-        r = rho(n)
+        theta, r = theta_complete(n), rho(n)
         rows.append({"n": n, "theta": theta, "rho": r, "equal": theta == r})
-    if args.json:
-        print(json.dumps({"max": args.nmax, "rows": rows}, sort_keys=True))
-    else:
-        for row in rows:
-            marker = "=" if row["equal"] else "<"
-            print(f"{row['n']}\t{row['theta']}\t{marker}\t{row['rho']}")
+        lines.append(f"{n}\t{theta}\t{'=' if theta == r else '<'}\t{r}")
+    _emit(args, {"max": args.nmax, "rows": rows}, "\n".join(lines))
     return 0
 
 

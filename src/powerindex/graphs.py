@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from .groups import ORDER_CAP
 
 
 class GraphFormatError(ValueError):
@@ -24,19 +26,22 @@ class GraphFormatError(ValueError):
 
 
 class SimpleGraph:
-    """Finite simple graph on vertices 0..n-1; irreflexive and symmetric."""
+    """Finite simple graph on vertices 0..n-1; irreflexive and symmetric.
+
+    No group past ORDER_CAP is built, so no graph with more vertices embeds
+    in a power graph here; such a count is rejected before any row is
+    allocated.
+    """
 
     __slots__ = ("n", "adj", "labels")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Sequence[str] | None = None):
-        if n < 0:
-            raise ValueError("vertex count must be >= 0")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if not 0 <= n <= ORDER_CAP:
+            raise GraphFormatError(
+                f"vertex count {n} is outside 0..{ORDER_CAP}, the group order cap")
         self.n = n
         self.adj = [0] * n
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("label count must match vertex count")
+        self.labels = None
         for u, v in edges:
             self._add_edge(u, v)
 
@@ -129,10 +134,6 @@ class PowerGraph:
 
     graph: SimpleGraph
     group_ref: str
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
 
 def power_graph(g) -> PowerGraph:

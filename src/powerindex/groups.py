@@ -71,7 +71,7 @@ class Group:
     the class its degree.
     """
 
-    __slots__ = ("n", "label", "mul", "identity", "inv", "orders", "cyclic_classes")
+    __slots__ = ("n", "label", "mul", "inv", "orders", "cyclic_classes")
 
     def __init__(self, mul, label: str):
         n = len(mul)
@@ -80,7 +80,6 @@ class Group:
         self.n = n
         self.label = label
         self.mul = mul
-        self.identity = 0
         orders = [0] * n
         inv = [0] * n
         class_of = [-1] * n
@@ -351,24 +350,24 @@ _group_cache: dict[str, Group] = {}
 
 
 def construct_group(spec: str) -> Group:
-    """Build the group named by a spec string; deterministic per spec."""
+    """Build the group named by a spec string; deterministic per spec, and
+    built once per process, a cayley: file included."""
     spec = spec.strip()
-    tree = parse_group_spec(spec)
-    if tree[0] == "cayley":
-        return _load_cayley(tree[1], spec)
     if spec not in _group_cache:
-        _group_cache[spec] = Group(_build_table(tree), spec)
+        tree = parse_group_spec(spec)
+        _group_cache[spec] = (_load_cayley(tree[1], spec) if tree[0] == "cayley"
+                              else Group(_build_table(tree), spec))
     return _group_cache[spec]
 
 
 def _order(tree) -> int:
     """The order a parse tree names, by arithmetic on the tree; a cayley:
-    factor is loaded, since its loader caps n itself."""
+    factor is constructed, since its loader caps n itself."""
     kind, arg = tree[0], tree[-1]
     if kind == "prod":
         return prod(_order(parse_group_spec(spec)) for spec in tree[1:])
     if kind == "cayley":
-        return _load_cayley(arg, arg).n
+        return construct_group(f"cayley:{arg}").n
     if kind == "perm":  # A1 and A2 are trivial
         return factorial(arg) // (2 if tree[1] == "A" and arg > 1 else 1)
     if kind in ("ab", "gdih"):

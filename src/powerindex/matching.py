@@ -67,9 +67,6 @@ class InversePath:
     def endpoints(self) -> frozenset[int]:
         return frozenset((self.vertices[0], self.vertices[-1]))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def to_json(self) -> list[int]:
         return list(self.vertices)
 
@@ -98,7 +95,9 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
     each popped vertex's bitset row in ascending order.  A failed search
     leaves a Hungarian tree, which no later augmenting path meets (Edmonds,
     *Canad. J. Math.* 17, 1965; Lovász & Plummer, *Matching Theory*, 1986),
-    so its vertices leave ``alive`` for good.
+    so its vertices leave ``alive`` for good.  Each base of the current
+    search lists the vertices it heads, so a contraction relabels only the
+    members of the blossom's bases.
     """
     n, adj = gr.n, gr.adj
     match = [-1] * n
@@ -135,6 +134,7 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
     def try_augment(root: int) -> None:
         nonlocal alive
         tree = 1 << root  # the vertices this search marks used or gives a parent
+        heads: dict[int, list[int]] = {}  # base -> its vertices, once more than itself
         used[root] = True
         queue = deque([root])
         while queue:
@@ -147,12 +147,16 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
                     blossom: set[int] = set()
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
-                    for i in _bits(tree):
-                        if base[i] in blossom:
+                    blossom.discard(cur)
+                    members = heads.setdefault(cur, [cur])
+                    for b in sorted(blossom):
+                        absorbed = heads.pop(b, [b])
+                        for i in absorbed:
                             base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                        members += absorbed
+                        if not used[b]:  # an inner vertex, so it heads only itself
+                            used[b] = True
+                            queue.append(b)
                 elif parent[to] == -1:
                     parent[to] = v
                     tree |= 1 << to

@@ -28,8 +28,6 @@ class Factorization:
 class OrderClass:
     """Classification flags for a group order n."""
 
-    n: int
-    factorization: Factorization
     is_prime_power: bool
     is_twice_odd_prime: bool
 
@@ -141,7 +139,7 @@ def rho(n: int) -> int:
 
 
 def classify_order(n: int) -> OrderClass:
-    """Factorization plus the two flags the closed-form criteria care about.
+    """The two flags the closed-form criteria care about.
 
     n = 1 reports is_prime_power = False.
     """
@@ -151,4 +149,4 @@ def classify_order(n: int) -> OrderClass:
     twice_odd_prime = (
         len(f.factors) == 2 and f.factors[0] == (2, 1) and f.factors[1][1] == 1
     )
-    return OrderClass(n, f, prime_power, twice_odd_prime)
+    return OrderClass(prime_power, twice_odd_prime)

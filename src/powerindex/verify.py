@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .clique import clique_number
 from .embedding import (
@@ -24,6 +24,7 @@ from .embedding import (
     max_nonidentity_degree,
     theta_complete,
     theta_kn_equals_nplus1,
+    theta_search,
 )
 from .graphs import (
     SimpleGraph,
@@ -59,32 +60,18 @@ class ClaimResult:
     passed: bool
     counterexample: str | None
 
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "statement": self.statement,
-            "instances": self.instances,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
     suite: str
     claims: tuple[ClaimResult, ...]
-    elapsed: float  # diagnostic only; excluded from serialized output
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "claims": [c.to_json() for c in self.claims],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _claim(claim_id: str, statement: str, instances) -> ClaimResult:
@@ -107,7 +94,6 @@ def _claim(claim_id: str, statement: str, instances) -> ClaimResult:
 
 def suite_chi(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 200
-    start = time.monotonic()
 
     def clique_instances():
         for n in range(1, bound + 1):
@@ -149,7 +135,7 @@ def suite_chi(max_n: int | None = None) -> VerificationReport:
                f"twice an odd prime; 2 <= n <= {bound}",
                bounds_instances()),
     )
-    return VerificationReport("chi", claims, time.monotonic() - start)
+    return VerificationReport("chi", claims)
 
 
 # ── theta-kn ─────────────────────────────────────────────────────────────────
@@ -158,7 +144,6 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 40
     search_bound = min(bound, 60)
     full_bound = min(bound, 16)
-    start = time.monotonic()
 
     def search_instances():
         for n in range(2, search_bound + 1):
@@ -172,8 +157,6 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
             yield first == target and below_ok, f"n={n}: search={first}, formula={target}"
 
     def full_catalog_instances():
-        from .embedding import theta_search
-
         for n in range(2, full_bound + 1):
             res = theta_search(complete_graph(n))
             ok = res.value == theta_complete(n) and res.exact
@@ -198,14 +181,13 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
                f"prime, non-prime-power n <= {bound}",
                plus_one_instances()),
     )
-    return VerificationReport("theta-kn", claims, time.monotonic() - start)
+    return VerificationReport("theta-kn", claims)
 
 
 # ── kst ──────────────────────────────────────────────────────────────────────
 
 def suite_kst(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 15
-    start = time.monotonic()
 
     def pairs():
         for n in range(4, bound + 1):
@@ -252,14 +234,13 @@ def suite_kst(max_n: int | None = None) -> VerificationReport:
                f"embedding for every critical pair with s+t <= {bound}",
                constructive_instances()),
     )
-    return VerificationReport("kst", claims, time.monotonic() - start)
+    return VerificationReport("kst", claims)
 
 
 # ── matching ─────────────────────────────────────────────────────────────────
 
 def suite_matching(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 64
-    start = time.monotonic()
 
     def perfect_instances():
         for m in range(2, bound + 1, 2):
@@ -327,14 +308,13 @@ def suite_matching(max_n: int | None = None) -> VerificationReport:
                "graphs and 100 seeded random graphs, n <= 14",
                engine_instances()),
     )
-    return VerificationReport("matching", claims, time.monotonic() - start)
+    return VerificationReport("matching", claims)
 
 
 # ── thm44 ────────────────────────────────────────────────────────────────────
 
 def suite_thm44(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 64
-    start = time.monotonic()
 
     def equivalence_instances():
         for m in range(2, bound + 1, 2):
@@ -354,14 +334,13 @@ def suite_thm44(max_n: int | None = None) -> VerificationReport:
                f"negative cases rest on exact maximum matching",
                equivalence_instances()),
     )
-    return VerificationReport("thm44", claims, time.monotonic() - start)
+    return VerificationReport("thm44", claims)
 
 
 # ── degrees ──────────────────────────────────────────────────────────────────
 
 def suite_degrees(max_n: int | None = None) -> VerificationReport:
     bound = max_n or 64
-    start = time.monotonic()
 
     def degree_instances():
         for m in range(2, bound + 1):
@@ -376,7 +355,7 @@ def suite_degrees(max_n: int | None = None) -> VerificationReport:
                f"is cyclic or generalized quaternion, orders 2..{bound}",
                degree_instances()),
     )
-    return VerificationReport("degrees", claims, time.monotonic() - start)
+    return VerificationReport("degrees", claims)
 
 
 _SUITES = {
@@ -399,14 +378,11 @@ def verify_suite(name: str, max_n: int | None = None,
         raise ValueError(f"sweep bound must be >= 1, got {max_n}")
     stream = progress if progress is not None else sys.stderr
     if name == "all":
-        claims: list[ClaimResult] = []
-        elapsed = 0.0
-        for sub in _SUITES:
-            report = verify_suite(sub, max_n, progress)
-            claims.extend(report.claims)
-            elapsed += report.elapsed
-        return VerificationReport("all", tuple(claims), elapsed)
+        claims = [c for sub in _SUITES
+                  for c in verify_suite(sub, max_n, progress).claims]
+        return VerificationReport("all", tuple(claims))
+    start = time.monotonic()
     report = _SUITES[name](max_n)
     print(f"# suite {name}: {len(report.claims)} claims in "
-          f"{report.elapsed:.2f}s", file=stream)
+          f"{time.monotonic() - start:.2f}s", file=stream)
     return report

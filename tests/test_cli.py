@@ -123,6 +123,28 @@ def test_theta_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("text", [
+    f"{ORDER_CAP + 1} 0\n",
+    "1000000000000 0\n",
+    '{"n": 1000000000000, "edges": []}',
+])
+def test_graph_files_past_the_order_cap_exit_2(capsys, tmp_path, text):
+    # no group within the cap hosts such a graph, so this is an error, not
+    # "not found"; the count is rejected before a row per vertex is allocated
+    path = tmp_path / "huge.graph"
+    path.write_text(text)
+    for argv in (("theta", str(path)), ("theta", str(path), "--json"),
+                 ("critical", str(path)), ("embed", str(path), "Z7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and str(ORDER_CAP) in err, argv
+
+
+def test_graph_files_at_the_order_cap_parse():
+    for text in (f"{ORDER_CAP} 0\n", json.dumps({"n": ORDER_CAP, "edges": []})):
+        assert parse_graph(text).n == ORDER_CAP
+
+
 @pytest.mark.parametrize("payload", [
     {"n": True, "edges": []},
     {"n": 3, "edges": [[0, True]]},

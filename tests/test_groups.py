@@ -460,12 +460,26 @@ def test_cayley_round_trip(tmp_path):
 
 def test_cayley_accepts_groups_past_order_64(tmp_path):
     # S5 needs two greedy generators; 2^7 needs seven, the most order 128 allows
-    for spec in ("S5", "Ab[2,2,2,2,2,2,2]"):
+    for i, spec in enumerate(("S5", "Ab[2,2,2,2,2,2,2]")):
         g = construct_group(spec)
-        path = tmp_path / "g.json"
+        path = tmp_path / f"g{i}.json"  # a cayley: file is loaded once per process
         path.write_text(json.dumps({"n": g.n, "mul": [list(r) for r in g.mul]}))
         loaded = construct_group(f"cayley:{path}")
         assert loaded.orders == g.orders, spec
+
+
+def test_cayley_factor_loaded_once(tmp_path, monkeypatch):
+    g = construct_group("Dic3")
+    path = tmp_path / "dic3.json"
+    path.write_text(json.dumps({"n": g.n, "mul": [list(r) for r in g.mul]}))
+    calls = []
+    load = groups._load_cayley
+    monkeypatch.setattr(groups, "_load_cayley",
+                        lambda *args: calls.append(args) or load(*args))
+    assert construct_group(f"Prod(cayley:{path},Z2)").n == 24
+    assert len(calls) == 1  # not once more for the order check
+    assert construct_group(f"cayley:{path}") is construct_group(f"cayley:{path}")
+    assert len(calls) == 1
 
 
 def _write(tmp_path, name, payload) -> str:

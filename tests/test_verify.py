@@ -128,7 +128,7 @@ def test_report_json_shape():
 
 def test_failing_report_serializes_counterexample():
     bad = ClaimResult("demo", "statement", 3, False, "n=7")
-    report = VerificationReport("chi", (bad,), 0.0)
+    report = VerificationReport("chi", (bad,))
     assert not report.passed
     assert report.to_json()["claims"][0]["counterexample"] == "n=7"
 

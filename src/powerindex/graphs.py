@@ -97,11 +97,6 @@ def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
-def empty_graph(n: int) -> SimpleGraph:
-    """The null graph on n vertices."""
-    return SimpleGraph(n)
-
-
 def complete_bipartite(s: int, t: int) -> SimpleGraph:
     """K_{s,t} with side U = {0..s-1} and side W = {s..s+t-1}."""
     if s < 0 or t < 0:

@@ -6,6 +6,11 @@ products, external Cayley tables) and served per order through a catalog
 that deduplicates up to isomorphism and carries an explicit completeness
 flag.  The identity always sits at identifier 0.
 
+Every family builder takes its row type from ``_row_type``: ``bytes`` rows
+up to order 256, where an entry fits in a byte, list rows from 257 to 1024,
+and ``array('H')`` rows above, so the catalog of orders 1..256 costs about
+a byte per entry and no table holds a pointer per entry past 1024.
+
 Abelian groups and direct products share one product builder, and one
 greedy-generator walk (``_walk``) is the only closure under multiplication.
 Power-graph degrees come from the cyclic classes (``CyclicClass.degree``),
@@ -150,7 +155,18 @@ def is_generalized_quaternion(g: Group) -> bool:
 # ── family constructors ──────────────────────────────────────────────────────
 
 def _row_type(n: int):
-    """Row constructor of an n-element table: list, or array('H') past 1024."""
+    """Row constructor of an n-element table, by the band n falls in.
+
+    Up to 256 every entry fits in a byte, so rows are ``bytes``: one byte
+    per entry, no pointers for the cyclic GC to walk, and each entry read
+    is a cached small int.  From 257 to 1024 rows are lists, whose entries
+    all point into one shared list of ints, as every builder arranges: a
+    read returns a stored int where an ``array('H')`` read makes a new one,
+    and 8 bytes per entry is still small at these orders.  Past 1024 rows
+    are ``array('H')``, 2 bytes per entry, as list rows of S7 would take
+    200 MB."""
+    if n <= 256:
+        return bytes
     return list if n <= 1024 else partial(array, "H")
 
 
@@ -185,7 +201,7 @@ def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
 
 
 def _cyclic_table(n: int):
-    """Row a is the window a..a+n-1 of one doubled row, so every row shares
+    """Row a is the window a..a+n-1 of one doubled row, so list rows share
     the same n int objects."""
     doubled = _row_type(n)(range(n)) * 2
     return [doubled[a:a + n] for a in range(n)]
@@ -199,8 +215,8 @@ def _abelian_table(ds: tuple[int, ...]):
 
 def _gdih_table(ds: tuple[int, ...]):
     """Generalized dihedral over Z_d1 x ... x Z_dk: the abelian part extended
-    by an order-2 flip acting as negation.  Entries come from one shared
-    list of ints."""
+    by an order-2 flip acting as negation.  List rows take their entries
+    from one shared list of ints."""
     add = _abelian_table(ds)
     neg = [row.index(0) for row in add]
     h = len(add)
@@ -223,7 +239,7 @@ def _dicyclic_table(nn: int):
 
     x^a x^b = x^(a+b) and x^a y x^b y^t = x^(a-b+t*nn) y^(1-t), so each
     half-row is an ascending or descending window of one doubled sequence,
-    and every row shares the same int objects."""
+    and list rows share the same int objects."""
     h = 2 * nn
     n = 4 * nn
     ids = _row_type(n)(range(n))
@@ -262,8 +278,9 @@ def _perm_table(k: int, even_only: bool):
 def _product_table(mul_a, mul_b):
     """Direct product of two tables; (a, b) sits at a * |B| + b.  Row
     (a1, b1) is, block by block, the block of ids of a1*a2 permuted by row
-    b1 of B (row 0 is the identity, which also covers |B| = 1), so entries
-    come from one shared list of ints, not a new int each (26 MB at n = 960)."""
+    b1 of B (row 0 is the identity, which also covers |B| = 1), so list rows
+    take their entries from one shared list of ints, not a new int each
+    (26 MB at n = 960)."""
     na, nb = len(mul_a), len(mul_b)
     n = na * nb
     as_row = _row_type(n)
@@ -419,8 +436,9 @@ def _load_cayley(path: str, label: str) -> Group:
     for x in range(n):
         if 0 not in mul[x]:
             raise CayleyTableError(f"inverse axiom violated: element {x} has no inverse")
-    _check_associative(mul)
-    return Group(mul, label)
+    _check_associative(mul)  # compares rows with lists, so before conversion
+    as_row = _row_type(n)
+    return Group([as_row(row) for row in mul], label)
 
 
 def _check_associative(mul: list[list[int]]) -> None:

@@ -55,17 +55,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(factors))
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def totient(n: int) -> int:
     """Euler totient phi(n); phi(1) = 1."""
     _require_positive(n)

@@ -37,6 +37,10 @@ def chi_chain_brute(n: int) -> int:
     return total + phi_brute(1)
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and least_prime_factor(n) == n
+
+
 def is_prime_power_brute(n: int) -> bool:
     if n < 2:
         return False
@@ -54,6 +58,11 @@ def rho_brute(n: int) -> int:
 
 
 # ── graph-side oracles ────────────────────────────────────────────────────────
+
+def empty_graph(n: int) -> SimpleGraph:
+    """The null graph on n vertices."""
+    return SimpleGraph(n)
+
 
 def is_complete(gr: SimpleGraph) -> bool:
     """True iff every pair of distinct vertices is adjacent."""

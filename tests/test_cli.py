@@ -17,12 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_embedding, power_graph_edges_brute
+from oracles import empty_graph, is_embedding, power_graph_edges_brute
 from powerindex import groups
 from powerindex.cli import main
 from powerindex.graphs import (
     complete_graph,
-    empty_graph,
     parse_graph,
     power_graph,
     serialize_graph,

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerindex.clique import clique_number
-from powerindex.graphs import SimpleGraph, complete_graph, empty_graph, one_factor, power_graph
+from powerindex.graphs import SimpleGraph, complete_graph, one_factor, power_graph
 from powerindex.groups import catalog_for_order, construct_group
 from powerindex.numtheory import chi
 
-from oracles import brute_max_clique
+from oracles import brute_max_clique, empty_graph
 
 
 def _assert_is_clique(gr, witness):

@@ -10,7 +10,9 @@ import pytest
 
 from oracles import (
     embedding_brute,
+    empty_graph,
     is_embedding,
+    is_prime,
     power_graph_edges_brute,
     unique_subgroup_of_prime_order,
 )
@@ -32,13 +34,12 @@ from powerindex.graphs import (
     apex_one_factor,
     complete_bipartite,
     complete_graph,
-    empty_graph,
     one_factor,
     power_graph,
     star,
 )
 from powerindex.groups import catalog_for_order, construct_group
-from powerindex.numtheory import chi_table, factorize, is_prime, is_prime_power, totient
+from powerindex.numtheory import chi_table, factorize, is_prime_power, totient
 
 
 def _host(spec):

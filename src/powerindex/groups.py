@@ -6,15 +6,12 @@ products, external Cayley tables) and served per order through a catalog
 that deduplicates up to isomorphism and carries an explicit completeness
 flag.  The identity always sits at identifier 0.
 
-Every family builder takes its row type from ``_row_type``: ``bytes`` rows
-up to order 256, where an entry fits in a byte, list rows from 257 to 1024,
-and ``array('H')`` rows above, so the catalog of orders 1..256 costs about
-a byte per entry and no table holds a pointer per entry past 1024.
-
-Abelian groups and direct products share one product builder, and one
-greedy-generator walk (``_walk``) is the only closure under multiplication.
-Power-graph degrees come from the cyclic classes (``CyclicClass.degree``),
-so nothing here builds a power graph.
+One window builder makes the abelian, dihedral, generalized dihedral and
+dicyclic tables, beside one for direct products and one for S_k and A_k.
+Each takes its rows from ``_row_type``: ``bytes`` up to order 256, lists
+to 1024 and ``array('H')`` above.  One greedy-generator walk (``_walk``)
+is the only closure under multiplication.  Power-graph degrees come from
+the cyclic classes, so nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import factorial, gcd, isqrt, prod
-from operator import itemgetter
+from operator import iadd, itemgetter
 
 from .numtheory import factorize
 
@@ -160,9 +157,10 @@ def _row_type(n: int):
     Up to 256 every entry fits in a byte, so rows are ``bytes``: one byte
     per entry, no pointers for the cyclic GC to walk, and each entry read
     is a cached small int.  From 257 to 1024 rows are lists, whose entries
-    all point into one shared list of ints, as every builder arranges: a
-    read returns a stored int where an ``array('H')`` read makes a new one,
-    and 8 bytes per entry is still small at these orders.  Past 1024 rows
+    all point into one shared list of ints, as each builder and the
+    ``cayley:`` loader arrange: a read returns a stored int where an
+    ``array('H')`` read makes a new one, and 8 bytes per entry is still
+    small at these orders.  Past 1024 rows
     are ``array('H')``, 2 bytes per entry, as list rows of S7 would take
     200 MB."""
     if n <= 256:
@@ -200,56 +198,48 @@ def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
     return levels
 
 
-def _cyclic_table(n: int):
-    """Row a is the window a..a+n-1 of one doubled row, so list rows share
-    the same n int objects."""
-    doubled = _row_type(n)(range(n)) * 2
-    return [doubled[a:a + n] for a in range(n)]
-
-
-def _abelian_table(ds: tuple[int, ...]):
-    """Z_d1 x ... x Z_dk as iterated products of cyclic tables, so element
-    (a1, ..., ak) sits at its mixed-radix index, identity at 0."""
-    return reduce(_product_table, map(_cyclic_table, ds))
-
-
-def _gdih_table(ds: tuple[int, ...]):
-    """Generalized dihedral over Z_d1 x ... x Z_dk: the abelian part extended
-    by an order-2 flip acting as negation.  List rows take their entries
-    from one shared list of ints."""
-    add = _abelian_table(ds)
-    neg = [row.index(0) for row in add]
-    h = len(add)
-    n = 2 * h
-    as_row = _row_type(n)
-    ids = list(range(n))
-    lo, hi = ids[:h], ids[h:]
-    rows = []
-    for flip in (False, True):
-        left, right = (hi, lo) if flip else (lo, hi)
-        for row in add:
-            src = [row[j] for j in neg] if flip else row
-            rows.append(as_row([left[x] for x in src] + [right[x] for x in src]))
+def _window_table(ds: tuple[int, ...], z: int | None = None):
+    """Table of A = Z_d1 x ... x Z_dk, (a1, ..., ak) at its mixed-radix
+    index; or, given z = -z in A, of A extended by y with y a y^-1 = a^-1
+    and y^2 = z, x^a y^s at s*|A| + a (z = 0: generalized dihedral; A =
+    Z_2m, z = m: dicyclic).  Built one factor at a time: with a = a'd + k,
+    b = b'd + l over the next factor Z_d, the ids fall in blocks of d, one
+    per element of the table so far (extended by z's leading digits),
+    which names the block of each product: x^a x^b y^t lies in that of
+    x^a' x^b' y^t at k + l, and x^a y x^b y^t in that of x^a' y x^b' y^t
+    at k - l (+ z's digit if t = 1).  Over l these are windows of a
+    doubled block or its reverse, so a row joins one window per block,
+    and list rows share one list of ints."""
+    rows = [[0]] if z is None else [[0, 1], [1, 0]]
+    for i, d in enumerate(ds, 1):
+        outer = rows
+        m = len(outer) // (1 if z is None else 2)  # blocks of A
+        h, n = m * d, len(outer) * d
+        as_row = _row_type(n)
+        ids = as_row(range(n))
+        up = [ids[c:c + d] * 2 for c in range(0, n, d)]
+        down = [block[::-1] for block in up]
+        zi = 0 if z is None else z // prod(ds[i:]) % d  # z's digit at Z_d
+        rows = [None] * n
+        for k in range(d):  # the windows at k serve rows x^(a'd + k) and x^(a'd + k) y
+            ups = [block[k:k + d] for block in up]
+            for a in range(m):
+                rows[a * d + k] = _join(as_row, map(ups.__getitem__, outer[a]))
+            if z is not None:
+                lo, hi = d - 1 - (k + zi) % d, d - 1 - k
+                downs = [block[lo:lo + d] for block in down[:m]]
+                downs += [block[hi:hi + d] for block in down[m:]]
+                for a in range(m):
+                    rows[h + a * d + k] = _join(as_row, map(downs.__getitem__, outer[m + a]))
     return rows
 
 
-def _dicyclic_table(nn: int):
-    """Dicyclic group of order 4*nn: x of order 2*nn, y^2 = x^nn,
-    y x y^-1 = x^-1.  Element s*2nn + a stands for x^a y^s.
-
-    x^a x^b = x^(a+b) and x^a y x^b y^t = x^(a-b+t*nn) y^(1-t), so each
-    half-row is an ascending or descending window of one doubled sequence,
-    and list rows share the same int objects."""
-    h = 2 * nn
-    n = 4 * nn
-    ids = _row_type(n)(range(n))
-    lo2, hi2 = ids[:h] * 2, ids[h:] * 2
-    rlo2, rhi2 = lo2[::-1], hi2[::-1]
-    rows = [lo2[a:a + h] + hi2[a:a + h] for a in range(h)]
-    for a in range(h):
-        i, j = h - 1 - a, h - 1 - (a + nn) % h
-        rows.append(rhi2[i:i + h] + rlo2[j:j + h])
-    return rows
+def _join(as_row, windows):
+    """A row from its windows: bytes in one copy; a list or array takes
+    each window by +=, and a last copy trims the slack += leaves."""
+    if as_row is bytes:
+        return b"".join(windows)
+    return as_row(reduce(iadd, windows, as_row()))
 
 
 def _perm_table(k: int, even_only: bool):
@@ -279,8 +269,8 @@ def _product_table(mul_a, mul_b):
     """Direct product of two tables; (a, b) sits at a * |B| + b.  Row
     (a1, b1) is, block by block, the block of ids of a1*a2 permuted by row
     b1 of B (row 0 is the identity, which also covers |B| = 1), so list rows
-    take their entries from one shared list of ints, not a new int each
-    (26 MB at n = 960)."""
+    take their entries from one shared list of ints, not a new int each.
+    Only ``Prod`` specs come here; abelian factor lists are windowed."""
     na, nb = len(mul_a), len(mul_b)
     n = na * nb
     as_row = _row_type(n)
@@ -399,8 +389,11 @@ def _build_table(tree):
         return _perm_table(arg, even_only=tree[1] == "A")
     if kind == "prod":  # construct_group caches the factors, so none is rebuilt
         return _product_table(construct_group(tree[1]).mul, construct_group(arg).mul)
-    return {"cyclic": _cyclic_table, "ab": _abelian_table, "gdih": _gdih_table,
-            "dicyclic": _dicyclic_table}[kind](arg)
+    if kind == "cyclic":
+        return _window_table((arg,))
+    if kind == "dicyclic":
+        return _window_table((2 * arg,), arg)
+    return _window_table(arg, 0 if kind == "gdih" else None)
 
 
 def _check_cap(n: int) -> None:
@@ -438,6 +431,8 @@ def _load_cayley(path: str, label: str) -> Group:
             raise CayleyTableError(f"inverse axiom violated: element {x} has no inverse")
     _check_associative(mul)  # compares rows with lists, so before conversion
     as_row = _row_type(n)
+    if as_row is list:  # entries share one int per id, as in a built table
+        as_row = lambda row, ids=list(range(n)): list(map(ids.__getitem__, row))
     return Group([as_row(row) for row in mul], label)
 
 

@@ -362,6 +362,28 @@ def tables_isomorphic(t1: list[list[int]], t2: list[list[int]]) -> bool:
     return extend(f, used)
 
 
+def window_table_brute(ds: tuple[int, ...], z: int | None = None) -> list[list[int]]:
+    """Table of A = Z_d1 x ... x Z_dk, a at its mixed-radix index with the
+    last factor least significant; or, given z, of A extended by y with
+    y a y^-1 = a^-1 and y^2 = z, x^a y^s at s*|A| + a.  Entry by entry:
+    x^a y^s * x^b y^t = x^(a + (-1)^s b + st z) y^(s xor t)."""
+    digits = list(itertools.product(*map(range, ds)))
+    index = {a: i for i, a in enumerate(digits)}
+    zd = digits[z or 0]
+    flips = (0,) if z is None else (0, 1)
+    table = []
+    for s in flips:
+        for a in digits:
+            row = []
+            for t in flips:
+                for b in digits:
+                    c = tuple((ai + (-1) ** s * bi + s * t * zi) % d
+                              for ai, bi, zi, d in zip(a, b, zd, ds))
+                    row.append((s ^ t) * len(digits) + index[c])
+            table.append(row)
+    return table
+
+
 def quaternion_table(n: int) -> list[list[int]]:
     """Generalized quaternion group of order n = 4m from its presentation
     x^(2m) = 1, y^2 = x^m, y x y^-1 = x^-1; element s*2m + a is x^a y^s."""

@@ -4,8 +4,10 @@ isomorphism testing, and the per-order catalog."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+from math import prod
 from unittest.mock import patch
 
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     subgroups_of_prime_order,
     tables_isomorphic,
     unique_subgroup_of_prime_order,
+    window_table_brute,
 )
 
 # Isomorphism class counts from the classification of small groups, for
@@ -81,8 +84,9 @@ def test_family_axioms():
 
 # sha256 of the rows of each multiplication table, one line per row with
 # entries separated by spaces, first 16 hex digits, as the tables were
-# built before abelian groups became iterated products of cyclic tables and
-# before permutation tables were filled along a generator walk; the
+# built before abelian groups became iterated products of cyclic tables,
+# before permutation tables were filled along a generator walk and before
+# one window builder took over the abelian, dihedral and dicyclic tables; the
 # digest reads entries, so it holds for every row type: bytes up to order
 # 256 (S5, Q16, ...), lists up to 1024 (S6, A6), array('H') above (S7, A7)
 TABLE_DIGESTS = {
@@ -104,6 +108,15 @@ TABLE_DIGESTS = {
     "S7": "89ac9edd277254d9",
     "Prod(S3,Q8)": "4c2eecd13e5c8d82",
     "Prod(Z3,Prod(Z2,S3))": "95576f877e16c1f6",
+    # each window shape in the array band, then two tables with many small
+    # windows per row; D5040 (4af8223740d35af5) is left out, as its digest
+    # alone takes over a second
+    "D1200": "b56a35247ba4f661",
+    "Dic300": "ede08fea63ba9c6c",
+    "Ab[2,600]": "73674cf5fc63b238",
+    "GDih[2,300]": "6b599f5cd35954ba",
+    "GDih[6,3]": "85f0955e0d3a8c2c",
+    "Ab[60,2]": "3d91020560f9c2ac",
 }
 
 
@@ -130,6 +143,31 @@ def test_list_rows_share_int_objects():
         assert len({id(x) for row in mul for x in row}) == len(mul), spec
 
 
+def test_window_table_matches_oracle():
+    # every factor list of at most 3 factors and order at most 24, factors
+    # of 1 and non-ascending lists included: A itself, and A extended by y
+    # with y^2 = z for every z = -z in A (z = 0 is generalized dihedral, the
+    # involution of an even cyclic A dicyclic)
+    for k in (1, 2, 3):
+        for ds in itertools.product(range(1, 25), repeat=k):
+            if prod(ds) > 24:
+                continue
+            digits = itertools.product(*map(range, ds))
+            zs = [z for z, a in enumerate(digits) if all(2 * x % d == 0 for x, d in zip(a, ds))]
+            for z in [None, *zs]:
+                table = groups._window_table(ds, z)
+                assert [list(row) for row in table] == window_table_brute(ds, z), (ds, z)
+
+
+def test_band_edges_match_oracle():
+    for spec, ds, z in (("Z256", (256,), None), ("Z257", (257,), None),
+                        ("D256", (128,), 0), ("D258", (129,), 0),
+                        ("Dic64", (128,), 64), ("Dic65", (130,), 65),
+                        ("Ab[2,129]", (2, 129), None)):
+        mul = construct_group(spec).mul
+        assert [list(row) for row in mul] == window_table_brute(ds, z), spec
+
+
 def test_byte_rows_up_to_order_256():
     # every entry of a table of order <= 256 fits in a byte
     for spec in ("Z1", "Z256", "D256", "Q256", "S5", "A5", "Prod(Z2,S5)"):
@@ -150,6 +188,8 @@ def test_family_orders():
     assert construct_group("A5").n == 60
     assert construct_group("Prod(Z6,D8)").n == 48
     assert construct_group("Ab[2,2,4]").n == 16
+    # one factor at a time, so a factor list longer than the recursion limit
+    assert construct_group("Ab[" + ",".join(["1"] * 1500) + "]").n == 1
 
 
 def test_element_orders():
@@ -476,6 +516,18 @@ def test_cayley_rows_match_the_built_tables(tmp_path):
     g = construct_group(f"cayley:{path}")
     assert all(type(row) is bytes for row in g.mul)
     assert _table_digest(g.mul) == TABLE_DIGESTS["D8"]
+
+
+def test_cayley_list_rows_share_int_objects(tmp_path):
+    # the JSON parser makes an int per entry; a loaded list-band table maps
+    # them onto one int per id, as test_list_rows_share_int_objects asks of
+    # a built one
+    z1000 = construct_group("Z1000")
+    path = tmp_path / "z1000.json"
+    path.write_text(json.dumps({"n": 1000, "mul": z1000.mul}))
+    mul = construct_group(f"cayley:{path}").mul
+    assert mul == z1000.mul
+    assert len({id(x) for row in mul for x in row}) == 1000
 
 
 def test_cayley_accepts_groups_past_order_64(tmp_path):

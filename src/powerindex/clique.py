@@ -3,11 +3,10 @@
 Branch and bound in the style of Tomita, seeded as in BBMC (San Segundo
 et al., *Comput. Oper. Res.* 38, 2011):
 
-- A greedy clique is the first incumbent: starting from every vertex as a
-  candidate, it repeatedly takes the candidate with the most neighbours
-  among the remaining candidates (lowest id on ties) and keeps only that
-  vertex's neighbours as candidates.  On power graphs the root coloring
-  often matches it, so the search ends at the root.
+- A greedy clique is the first incumbent: it takes the vertices in one
+  static order, degree descending with the lowest id on ties, and keeps
+  each one adjacent to every vertex kept so far.  On power graphs the
+  root coloring often matches it, so the search ends at the root.
 - Candidates are greedily colored by ascending id, color counts bound the
   achievable clique size, and subtrees that cannot beat the incumbent are
   cut.  The search runs on an explicit stack, so its depth is not limited
@@ -45,25 +44,15 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
         raise ValueError("clique_number needs at least one vertex")
     adj = gr.adj
 
-    # Greedy incumbent: the candidate with most neighbours among the
-    # candidates, lowest id on ties, then only its neighbours stay.
-    full = (1 << n) - 1
-    best_size = 0
+    # Greedy incumbent: by degree descending (the sort is stable, so lowest
+    # id on ties), each vertex adjacent to all those kept so far stays.
     best_mask = 0
-    cand = full
-    while cand:
-        m = cand
-        top, top_deg = -1, -1
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            deg = (adj[v] & cand).bit_count()
-            if deg > top_deg:
-                top, top_deg = v, deg
-        best_size += 1
-        best_mask |= 1 << top
-        cand &= adj[top]
+    deg = gr.degrees()
+    for v in sorted(range(n), key=deg.__getitem__, reverse=True):
+        if best_mask & adj[v] == best_mask:
+            best_mask |= 1 << v
+    best_size = best_mask.bit_count()
+    full = (1 << n) - 1
 
     def color_pairs(p_mask: int) -> list[tuple[int, int]]:
         # Greedy coloring by ascending id, built one color class at a time:

@@ -5,15 +5,16 @@ elements are adjacent in it exactly when the cyclic subgroups they
 generate are nested (Feng, Ma & Wang, Eur. J. Combin. 43, 2015), so it
 is the comparability graph of the host's cyclic classes with each class
 blown up to a clique.  The search therefore assigns pattern vertices to
-classes, within each class's capacity, on an explicit stack with forward
-checking of bitset class domains and a Hall count on pattern twins (as
-in the Glasgow Subgraph Solver; McCreesh, Prosser & Trimble, ICGT 2020),
-and lifts a class assignment to elements at the end.  Twins take
-non-decreasing class indices; an exhausted search is still a proof that
-no embedding exists (the argument is in ``embeds``).  On top of the
-oracle sit the closed-form index for complete graphs, the bipartite
-criticality criterion with its constructive embedding, optimal-group
-classification, and catalog-relative index search for arbitrary patterns.
+classes, in one static order and within each class's capacity, on an
+explicit stack with forward checking of bitset class domains and a Hall
+count on pattern twins (as in the Glasgow Subgraph Solver; McCreesh,
+Prosser & Trimble, ICGT 2020), and lifts a class assignment to elements
+at the end.  Twins take non-decreasing class indices; an exhausted search
+is still a proof that no embedding exists (the argument is in
+``embeds``).  On top of the oracle sit the closed-form index for complete
+graphs, the bipartite criticality criterion with its constructive
+embedding, optimal-group classification, and catalog-relative index
+search for arbitrary patterns.
 """
 
 from __future__ import annotations
@@ -145,11 +146,14 @@ def _assign_classes(pattern: SimpleGraph,
                     classes: tuple[CyclicClass, ...]) -> list[int] | None:
     """A valid class per pattern vertex (see embeds), or None if none exists.
 
-    Depth-first search on an explicit stack.  Each frame holds the vertex
-    it branches on, its untried classes, and the domains (bitmasks over
-    class indices) and remaining capacities left by the placements above
-    it.  The next vertex is the unplaced one with the fewest classes in
-    its domain, ties broken by higher degree, then lower identifier.
+    Depth-first search on an explicit stack, over one vertex order fixed
+    before it starts: degree descending, then the least member of the
+    vertex's twin class (so each twin class is placed in a row, by
+    increasing id), then id.  Frame i branches on ``order[i]`` and holds
+    its untried classes and the domains (bitmasks over class indices) and
+    remaining capacities left by the placements above it.  A twin's
+    predecessor is always placed before it, so only its successor's
+    domain takes the non-decreasing bound.
     """
     n = pattern.n
     if n == 0:
@@ -159,28 +163,19 @@ def _assign_classes(pattern: SimpleGraph,
     comp = [cl.comparable for cl in classes]
     pool = {d: sum(1 << c for c, cl in enumerate(classes) if cl.degree >= d)
             for d in set(pdeg)}
-    rank = [0] * n
-    for i, v in enumerate(sorted(range(n), key=lambda v: (-pdeg[v], v))):
-        rank[v] = i
     twin_sets = _twin_classes(pattern)
-    pred, succ = [-1] * n, [-1] * n
+    lead, succ = list(range(n)), [-1] * n
     for members in twin_sets:
         for a, b in zip(members, members[1:]):
-            pred[b], succ[a] = a, b
+            succ[a], lead[b] = b, members[0]
+    order = sorted(range(n), key=lambda v: (-pdeg[v], lead[v], v))
     assign = [-1] * n
 
-    def select(dom: list[int], cap: list[int], free: list[int]) -> int:
-        """The next vertex to branch on, or -1 when some unplaced vertex has
-        no class left or a twin class needs more room than its domains
-        offer."""
-        best, best_key = -1, 0
-        for u in free:
-            d = dom[u]
-            if not d:
-                return -1
-            key = d.bit_count() * n + rank[u]
-            if best == -1 or key < best_key:
-                best, best_key = u, key
+    def feasible(dom: list[int], cap: list[int], i: int) -> bool:
+        """Whether every vertex from order[i] on has a class left and every
+        twin class has room for its unplaced members in their domains."""
+        if not all(map(dom.__getitem__, order[i:])):
+            return False
         for members in twin_sets:
             union = need = 0
             for u in members:
@@ -192,18 +187,17 @@ def _assign_classes(pattern: SimpleGraph,
                 room += cap[(union & -union).bit_length() - 1]
                 union &= union - 1
             if room < need:
-                return -1
-        return best
+                return False
+        return True
 
     dom = [pool[pdeg[v]] for v in range(n)]
-    free = list(range(n))
-    v = select(dom, size, free)
-    if v == -1:
+    if not feasible(dom, size, 0):
         return None
-    stack = [[v, dom[v], dom, size, free]]
+    stack = [[0, dom[order[0]], dom, size]]
     while stack:
         frame = stack[-1]
-        v, cand, dom, cap, free = frame
+        i, cand, dom, cap = frame
+        v = order[i]
         if not cand:
             assign[v] = -1
             stack.pop()
@@ -211,24 +205,17 @@ def _assign_classes(pattern: SimpleGraph,
         c = (cand & -cand).bit_length() - 1
         frame[1] = cand & (cand - 1)
         assign[v] = c
-        rest = [u for u in free if u != v]
-        if not rest:
+        if i + 1 == n:
             return assign
-        dom = dom[:]
         cap = cap[:]
         cap[c] -= 1
-        if not cap[c]:
-            for u in rest:
-                dom[u] &= ~(1 << c)
+        dom = [d & ~(1 << c) for d in dom] if not cap[c] else dom[:]
         for u in _bits(padj[v]):
             dom[u] &= comp[c]
         if succ[v] != -1:
             dom[succ[v]] &= -1 << c
-        if pred[v] != -1:
-            dom[pred[v]] &= (2 << c) - 1
-        w = select(dom, cap, rest)
-        if w != -1:
-            stack.append([w, dom[w], dom, cap, rest])
+        if feasible(dom, cap, i + 1):
+            stack.append([i + 1, dom[order[i + 1]], dom, cap])
     return None
 
 

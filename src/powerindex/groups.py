@@ -267,21 +267,20 @@ def _perm_table(k: int, even_only: bool):
 
 def _product_table(mul_a, mul_b):
     """Direct product of two tables; (a, b) sits at a * |B| + b.  Row
-    (a1, b1) is, block by block, the block of ids of a1*a2 permuted by row
-    b1 of B (row 0 is the identity, which also covers |B| = 1), so list rows
-    take their entries from one shared list of ints, not a new int each.
-    Only ``Prod`` specs come here; abelian factor lists are windowed."""
+    (a1, b1) joins, block by block, the block of ids of a1*a2 permuted by
+    row b1 of B, as window rows are joined, so list rows take their entries
+    from one shared list of ints, not a new int each.  Only ``Prod`` specs
+    come here; abelian factor lists are windowed."""
     na, nb = len(mul_a), len(mul_b)
     n = na * nb
     as_row = _row_type(n)
-    ids = list(range(n))
+    ids = as_row(range(n))
     blocks = [ids[a * nb:(a + 1) * nb] for a in range(na)]
     rows = [None] * n
     for b1, mrb in enumerate(mul_b):
-        permuted = list(map(itemgetter(*mrb), blocks)) if b1 else blocks
+        permuted = [as_row(map(block.__getitem__, mrb)) for block in blocks]
         for a1, mra in enumerate(mul_a):
-            segments = map(permuted.__getitem__, mra)
-            rows[a1 * nb + b1] = as_row(itertools.chain.from_iterable(segments))
+            rows[a1 * nb + b1] = _join(as_row, map(permuted.__getitem__, mra))
     return rows
 
 

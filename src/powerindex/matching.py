@@ -96,11 +96,11 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
     leaves a Hungarian tree, which no later augmenting path meets (Edmonds,
     *Canad. J. Math.* 17, 1965; Lovász & Plummer, *Matching Theory*, 1986),
     so its vertices leave ``alive`` for good.  Each base of the current
-    search lists the vertices it heads, so a contraction relabels only the
-    members of the blossom's bases.  It keeps them as a bitmask too, and a
-    scan masks out the inner vertices and the popped vertex's own blossom,
-    which it would pass over anyway: D5040's dense rotation rows then cost
-    one mask each, not one step per neighbour.
+    search keeps the vertices it heads as one bitmask, so a contraction
+    relabels only the members of the blossom's bases, and a scan masks out
+    the inner vertices and the popped vertex's own blossom, which it would
+    pass over anyway: D5040's dense rotation rows then cost one mask each,
+    not one step per neighbour.
     """
     n, adj = gr.n, gr.adj
     match = [-1] * n
@@ -138,8 +138,7 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
         nonlocal alive
         tree = 1 << root  # the vertices this search marks used or gives a parent
         inner = 0  # the vertices with a parent that no blossom has absorbed
-        heads: dict[int, list[int]] = {}  # base -> its vertices, once more than itself
-        bits: dict[int, int] = {}  # base -> the same vertices as a bitmask
+        bits: dict[int, int] = {}  # base -> its vertices as a bitmask, once more than itself
         used[root] = True
         queue = deque([root])
         while queue:
@@ -156,14 +155,12 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
                     blossom.discard(cur)
-                    members = heads.setdefault(cur, [cur])
                     mask = bits.get(cur, 1 << cur)
                     for b in sorted(blossom):
-                        absorbed = heads.pop(b, [b])
-                        for i in absorbed:
+                        absorbed = bits.pop(b, 1 << b)
+                        for i in _bits(absorbed):
                             base[i] = cur
-                        members += absorbed
-                        mask |= bits.pop(b, 1 << b)
+                        mask |= absorbed
                         if not used[b]:  # an inner vertex, so it heads only itself
                             used[b] = True
                             queue.append(b)

@@ -148,9 +148,9 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
     def search_instances():
         for n in range(2, search_bound + 1):
             target = theta_complete(n)
-            first = next(m for m in range(n, target + 1)
-                         if embeds(complete_graph(n),
-                                   construct_group(f"Z{m}")) is not None)
+            first = next((m for m in range(n, target + 1)
+                          if embeds(complete_graph(n),
+                                    construct_group(f"Z{m}")) is not None), None)
             # also confirm the order just below the formula value fails
             below_ok = (target == n or embeds(
                 complete_graph(n), construct_group(f"Z{target - 1}")) is None)
@@ -159,8 +159,9 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
     def full_catalog_instances():
         for n in range(2, full_bound + 1):
             res = theta_search(complete_graph(n))
-            ok = res.value == theta_complete(n) and res.exact
-            yield ok, f"n={n}: search={res.value}, formula={theta_complete(n)}"
+            value = res.value if res else None
+            ok = value == theta_complete(n) and res.exact
+            yield ok, f"n={n}: search={value}, formula={theta_complete(n)}"
 
     def plus_one_instances():
         for n in range(2, bound + 1):

@@ -104,11 +104,25 @@ def test_embeds_large_patterns_without_recursion():
 
 
 def test_embeds_ignores_pattern_labels():
+    # a shuffled K_{12,12} interleaves its sides, which a search order by id
+    # alone would split into many short runs of each twin class
     for seed in (1, 2, 3):
-        assert embeds(_relabel(complete_bipartite(10, 10), seed),
-                      construct_group("Z20")) is None
+        for n in range(4, 21):
+            groups = catalog_for_order(n).groups
+            for s in range(2, n // 2 + 1):
+                pattern = _relabel(complete_bipartite(s, n - s), seed)
+                found = False
+                for g in groups:
+                    w = embeds(pattern, g)
+                    if w is not None:
+                        found = True
+                        assert check_embedding(pattern, power_graph(g).graph,
+                                               w.as_dict()), (seed, s, g.label)
+                assert found == is_kst_power_critical(s, n - s), (seed, s, n)
         assert embeds(_relabel(complete_bipartite(10, 14), seed),
                       construct_group("Z24")) is None
+        pattern = _relabel(complete_bipartite(12, 12), seed)
+        assert all(embeds(pattern, g) is None for g in catalog_for_order(24).groups)
     pattern = _relabel(complete_bipartite(11, 15), 1)
     w = embeds(pattern, construct_group("Z26"))
     assert w is not None

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+import powerindex.embedding as embedding_module
 import powerindex.matching as matching_module
 import powerindex.verify as verify_module
 from powerindex.clique import CliqueResult
@@ -92,6 +93,22 @@ def test_thm44_suite_fails_on_a_cover_missing_a_path(monkeypatch):
     assert claim.claim == "thm44-equivalence"
     assert not claim.passed and claim.instances == 1
     assert claim.counterexample.startswith("Z2: expected 1 paths")
+
+
+def test_theta_kn_suite_fails_when_nothing_embeds(monkeypatch):
+    # an engine that never finds an embedding fails both search claims with
+    # a counterexample; it must not crash the suite
+    def never(pattern, g):
+        return None
+
+    monkeypatch.setattr(verify_module, "embeds", never)
+    monkeypatch.setattr(embedding_module, "embeds", never)
+    search, full, plus_one = verify_suite("theta-kn", 6, progress=io.StringIO()).claims
+    assert search.claim == "theta-kn-cyclic-search" and not search.passed
+    assert search.counterexample == "n=2: search=None, formula=2"
+    assert full.claim == "theta-kn-full-search" and not full.passed
+    assert full.counterexample == "n=2: search=None, formula=2"
+    assert plus_one.passed
 
 
 def test_kst_suite_to_order_30():

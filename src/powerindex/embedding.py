@@ -9,12 +9,13 @@ classes, in one static order and within each class's capacity, on an
 explicit stack with forward checking of bitset class domains and a Hall
 count on pattern twins (as in the Glasgow Subgraph Solver; McCreesh,
 Prosser & Trimble, ICGT 2020), and lifts a class assignment to elements
-at the end.  Twins take non-decreasing class indices; an exhausted search
-is still a proof that no embedding exists (the argument is in
-``embeds``).  On top of the oracle sit the closed-form index for complete
-graphs, the bipartite criticality criterion with its constructive
-embedding, optimal-group classification, and catalog-relative index
-search for arbitrary patterns.
+at the end.  Twins take non-decreasing class indices, and so do the
+least members of twin classes that a pattern automorphism swaps whole;
+an exhausted search is still a proof that no embedding exists (the
+argument is in ``embeds``).  On top of the oracle sit the closed-form
+index for complete graphs, the bipartite criticality criterion with its
+constructive embedding, optimal-group classification, and
+catalog-relative index search for arbitrary patterns.
 """
 
 from __future__ import annotations
@@ -84,22 +85,23 @@ def check_embedding(pattern: SimpleGraph, host: SimpleGraph,
     return all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges())
 
 
-def _twin_classes(pattern: SimpleGraph) -> list[list[int]]:
-    """The pattern's twin classes with two or more members, each listed by
-    increasing id.
+def _twin_classes(rows: list[int], key: list) -> list[tuple[str, list[int]]]:
+    """The twin classes with two or more members of the graph whose vertex
+    v has the neighbour bitmask rows[v], among vertices of equal key[v],
+    each as its kind ("o" or "c") and its members by increasing id.
 
     Two vertices are twins when they share the same open neighbourhood
     (non-adjacent case) or the same closed neighbourhood (adjacent case);
-    any permutation of a class is a pattern automorphism, so ordering the
+    any permutation of a class is a graph automorphism, so ordering the
     images of a class's members discards only redundant branches.  No
     vertex has twins of both kinds: an open twin u and a closed twin w of
     v would make u a neighbour of w, hence of v, hence of itself.
     """
-    by_key: dict[tuple[str, int], list[int]] = {}
-    for v, row in enumerate(pattern.adj):
-        by_key.setdefault(("o", row), []).append(v)
-        by_key.setdefault(("c", row | 1 << v), []).append(v)
-    return [members for members in by_key.values() if len(members) > 1]
+    by_key: dict[tuple, list[int]] = {}
+    for v, row in enumerate(rows):
+        by_key.setdefault((key[v], "o", row), []).append(v)
+        by_key.setdefault((key[v], "c", row | 1 << v), []).append(v)
+    return [(kind, members) for (_, kind, _), members in by_key.items() if len(members) > 1]
 
 
 def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
@@ -125,6 +127,11 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
     - Pattern twins are interchangeable by a pattern automorphism, so
       every valid assignment can be permuted into one that gives the
       members of each twin class non-decreasing class indices.
+    - Two twin classes of one size and kind with the same neighbours
+      outside both are swapped whole by a pattern automorphism, which
+      keeps each class's members in order, so the assignment can further
+      be permuted to give the least members of each run of such classes
+      non-decreasing class indices.
     - Forward checking and the Hall count only cut partial assignments
       that no valid assignment extends.
     """
@@ -148,12 +155,15 @@ def _assign_classes(pattern: SimpleGraph,
 
     Depth-first search on an explicit stack, over one vertex order fixed
     before it starts: degree descending, then the least member of the
-    vertex's twin class (so each twin class is placed in a row, by
-    increasing id), then id.  Frame i branches on ``order[i]`` and holds
-    its untried classes and the domains (bitmasks over class indices) and
-    remaining capacities left by the placements above it.  A twin's
-    predecessor is always placed before it, so only its successor's
-    domain takes the non-decreasing bound.
+    vertex's run of swappable twin classes, then that of its twin class
+    (so each run, and in it each twin class, is placed in a row, by
+    increasing id), then id.  The runs are the twin classes of the graph
+    of twin classes, among classes of equal size, kind and neighbours in
+    no twin class.  Frame i branches on ``order[i]`` and holds its untried
+    classes and the domains (bitmasks over class indices) and remaining
+    capacities left by the placements above it.  A twin's predecessor, and
+    the lead of the class before a class in a run, is always placed first,
+    so only the successors in ``succ`` take the non-decreasing bound.
     """
     n = pattern.n
     if n == 0:
@@ -163,12 +173,25 @@ def _assign_classes(pattern: SimpleGraph,
     comp = [cl.comparable for cl in classes]
     pool = {d: sum(1 << c for c, cl in enumerate(classes) if cl.degree >= d)
             for d in set(pdeg)}
-    twin_sets = _twin_classes(pattern)
-    lead, succ = list(range(n)), [-1] * n
+    twins = _twin_classes(padj, [None] * n)
+    twin_sets = [members for _, members in twins]
+    lone = ~sum(1 << u for members in twin_sets for u in members)
+    runs = _twin_classes(
+        [sum(1 << j for j, other in enumerate(twin_sets)
+             if other is not members and padj[members[0]] >> other[0] & 1)
+         for members in twin_sets],
+        [(len(members), kind, padj[members[0]] & lone) for kind, members in twins])
+    lead, run, succ = list(range(n)), list(range(n)), [[] for _ in range(n)]
     for members in twin_sets:
         for a, b in zip(members, members[1:]):
-            succ[a], lead[b] = b, members[0]
-    order = sorted(range(n), key=lambda v: (-pdeg[v], lead[v], v))
+            succ[a].append(b)
+            lead[b] = members[0]
+    for _, ids in runs:
+        heads = [twin_sets[i][0] for i in ids]
+        for a, b in zip(heads, heads[1:]):
+            succ[a].append(b)
+            run[b] = heads[0]
+    order = sorted(range(n), key=lambda v: (-pdeg[v], run[lead[v]], lead[v], v))
     assign = [-1] * n
 
     def feasible(dom: list[int], cap: list[int], i: int) -> bool:
@@ -212,8 +235,8 @@ def _assign_classes(pattern: SimpleGraph,
         dom = [d & ~(1 << c) for d in dom] if not cap[c] else dom[:]
         for u in _bits(padj[v]):
             dom[u] &= comp[c]
-        if succ[v] != -1:
-            dom[succ[v]] &= -1 << c
+        for u in succ[v]:
+            dom[u] &= -1 << c
         if feasible(dom, cap, i + 1):
             stack.append([i + 1, dom[order[i + 1]], dom, cap])
     return None

@@ -3,8 +3,8 @@
 Groups are built from a small spec grammar (cyclic, abelian, dihedral,
 generalized dihedral, dicyclic/quaternion, symmetric/alternating, direct
 products, external Cayley tables) and served per order through a catalog
-that deduplicates up to isomorphism and carries an explicit completeness
-flag.  The identity always sits at identifier 0.
+that deduplicates up to isomorphism and is flagged complete when its size
+reaches the known group count.  The identity always sits at identifier 0.
 
 One window builder makes the abelian, dihedral, generalized dihedral and
 dicyclic tables, beside one for direct products and one for S_k and A_k.
@@ -29,13 +29,14 @@ from .numtheory import factorize
 
 ORDER_CAP = 5040
 
-# Orders whose isomorphism classes are provably exhausted by the built-in
-# families; the argument is documented per order in
-# docs/complete_orders.md.  Everything else is served catalog-relative.
-COMPLETE_ORDERS = frozenset(
-    [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17, 18, 19,
-     22, 23, 25, 26, 28, 29, 30, 31, 33, 34, 35, 37, 38, 41, 43, 44,
-     45, 46, 47, 49, 50, 51, 53, 58, 59, 61, 62]
+# The number of groups of each order up to isomorphism, indexed by order
+# (Besche, Eick & O'Brien, IJAC 12, 2002; OEIS A000001).  A catalog that
+# holds this many pairwise non-isomorphic groups holds every group of its
+# order; see docs/complete_orders.md.
+GROUP_COUNTS = (
+    0, 1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14, 1, 5, 1, 5, 2, 2, 1,
+    15, 2, 2, 5, 4, 1, 4, 1, 51, 1, 2, 1, 14, 1, 2, 2, 14, 1, 6, 1, 4, 2, 2,
+    1, 52, 2, 5, 1, 5, 1, 15, 2, 13, 2, 2, 1, 13, 1, 2, 4, 267,
 )
 
 
@@ -242,14 +243,14 @@ def _join(as_row, windows):
     return as_row(reduce(iadd, windows, as_row()))
 
 
-def _perm_table(k: int, even_only: bool):
+def _perm_table(k: int, even: bool):
     """S_k or A_k on its permutations in lexicographic order, the product
     p*q being p after q.  Only the generators' rows compose permutations;
     every other row follows the walk, as row(x*s) = row(x) permuted by
     row(s)."""
     pairs = list(itertools.combinations(range(k), 2))
     perms = [p for p in itertools.permutations(range(k))
-             if not even_only or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+             if not even or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     as_row = _row_type(n)
@@ -303,12 +304,15 @@ def _split_product(body: str) -> tuple[str, str]:
 
 
 def parse_group_spec(spec: str):
-    """Parse a spec string to a tree; raises GroupSpecError when malformed.
+    """Parse a spec string to its builder's arguments, the one place that
+    knows the family names; raises GroupSpecError when malformed.
 
     Grammar (exact, case-sensitive): Z<n>, Ab[d1,...,dk], D<2n>,
     GDih[d1,...,dk], Dic<n>, Q<2^k> (k >= 3), S<n>/A<n> (n <= 7),
-    Prod(spec,spec), cayley:<path>.  A product's node holds its two factor
-    specs, each validated.
+    Prod(spec,spec), cayley:<path>.  Results: ("window", ds, z) for
+    ``_window_table`` (Q<2^k> is Dic<2^(k-2)>), ("perm", k, even),
+    ("prod", left, right) with both factor specs validated, and
+    ("cayley", path).
     """
     spec = spec.strip()
     if spec.startswith("cayley:"):
@@ -323,32 +327,30 @@ def parse_group_spec(spec: str):
         return ("prod", left, right)
     m = _LIST.fullmatch(spec)
     if m:
-        kind = "ab" if m.group(1) == "Ab" else "gdih"
         ds = tuple(int(tok) for tok in m.group(2).split(","))
         if any(d < 1 for d in ds):
             raise GroupSpecError(f"{m.group(1)} factors must be positive: {spec!r}")
-        return (kind, ds)
+        return ("window", ds, None if m.group(1) == "Ab" else 0)
     m = _ATOM.fullmatch(spec)
     if m:
         family, arg = m.group(1), int(m.group(2))
         if arg < 1:
             raise GroupSpecError(f"parameter must be positive: {spec!r}")
         if family == "Z":
-            return ("cyclic", arg)
+            return ("window", (arg,), None)
         if family == "D":
             if arg % 2 or arg < 2:
                 raise GroupSpecError(f"D<m> needs even order m >= 2: {spec!r}")
-            return ("gdih", (arg // 2,))
+            return ("window", (arg // 2,), 0)
         if family == "Dic":
-            return ("dicyclic", arg)
+            return ("window", (2 * arg,), arg)
         if family == "Q":
             if arg < 8 or arg & (arg - 1):
                 raise GroupSpecError(f"Q<m> needs m a power of 2, m >= 8: {spec!r}")
-            return ("dicyclic", arg // 4)
-        if family in ("S", "A"):
-            if arg > 7:
-                raise GroupSpecError(f"{family}<n> capped at n <= 7: {spec!r}")
-            return ("perm", family, arg)
+            return ("window", (arg // 2,), arg // 4)
+        if arg > 7:
+            raise GroupSpecError(f"{family}<n> capped at n <= 7: {spec!r}")
+        return ("perm", arg, family == "A")
     raise GroupSpecError(f"unrecognized group spec {spec!r}")
 
 
@@ -367,32 +369,24 @@ def construct_group(spec: str) -> Group:
 
 
 def _order(tree) -> int:
-    """The order a parse tree names, by arithmetic on the tree; a cayley:
-    factor is constructed, since its loader caps n itself."""
-    kind, arg = tree[0], tree[-1]
-    if kind == "prod":
-        return prod(_order(parse_group_spec(spec)) for spec in tree[1:])
-    if kind == "cayley":
-        return construct_group(f"cayley:{arg}").n
+    """The order a parsed spec names, by arithmetic on its arguments; a
+    cayley: factor is constructed, since its loader caps n itself."""
+    kind, *args = tree
+    if kind == "window":
+        return prod(args[0]) * (1 if args[1] is None else 2)
     if kind == "perm":  # A1 and A2 are trivial
-        return factorial(arg) // (2 if tree[1] == "A" and arg > 1 else 1)
-    if kind in ("ab", "gdih"):
-        return prod(arg) * (2 if kind == "gdih" else 1)
-    return arg * (4 if kind == "dicyclic" else 1)
+        return factorial(args[0]) // (2 if args[1] and args[0] > 1 else 1)
+    if kind == "prod":
+        return prod(_order(parse_group_spec(spec)) for spec in args)
+    return construct_group(f"cayley:{args[0]}").n
 
 
 def _build_table(tree):
     _check_cap(_order(tree))  # before any factor of a product is built
-    kind, arg = tree[0], tree[-1]
-    if kind == "perm":
-        return _perm_table(arg, even_only=tree[1] == "A")
+    kind, *args = tree
     if kind == "prod":  # construct_group caches the factors, so none is rebuilt
-        return _product_table(construct_group(tree[1]).mul, construct_group(arg).mul)
-    if kind == "cyclic":
-        return _window_table((arg,))
-    if kind == "dicyclic":
-        return _window_table((2 * arg,), arg)
-    return _window_table(arg, 0 if kind == "gdih" else None)
+        return _product_table(*(construct_group(spec).mul for spec in args))
+    return (_window_table if kind == "window" else _perm_table)(*args)
 
 
 def _check_cap(n: int) -> None:
@@ -563,7 +557,6 @@ def are_isomorphic(g1: Group, g2: Group) -> bool:
 
 @dataclass(frozen=True)
 class Catalog:
-    order: int
     groups: tuple[Group, ...]
     complete: bool
 
@@ -639,20 +632,22 @@ def _candidate_specs(m: int) -> list[str]:
 def catalog_for_order(m: int) -> Catalog:
     """All family-expressible groups of order m up to isomorphism.
 
-    complete=True only for whitelisted orders where the families provably
-    exhaust every isomorphism class.
+    The dedup is an exact isomorphism test, so the groups are pairwise
+    non-isomorphic, and there being GROUP_COUNTS[m] of them certifies
+    complete=True: every group of order m is among them.  A rejected
+    candidate leaves the spec cache unless a caller had built it before.
     """
     if m < 1:
         raise ValueError("order must be >= 1")
     _check_cap(m)
-    reps: list[Group] = []
-    fingerprints: list[tuple] = []
+    reps: list[tuple[Group, tuple]] = []
     for spec in _candidate_specs(m):
+        cached = spec in _group_cache
         g = construct_group(spec)
         fp = group_fingerprint(g)
-        duplicate = any(fp == fp0 and are_isomorphic(g, g0)
-                        for g0, fp0 in zip(reps, fingerprints))
-        if not duplicate:
-            reps.append(g)
-            fingerprints.append(fp)
-    return Catalog(m, tuple(reps), m in COMPLETE_ORDERS)
+        if not any(fp == fp0 and are_isomorphic(g, g0) for g0, fp0 in reps):
+            reps.append((g, fp))
+        elif not cached:
+            del _group_cache[spec]
+    found = tuple(g for g, _ in reps)
+    return Catalog(found, m < len(GROUP_COUNTS) and len(found) == GROUP_COUNTS[m])

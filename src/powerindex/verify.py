@@ -151,10 +151,9 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
             first = next((m for m in range(n, target + 1)
                           if embeds(complete_graph(n),
                                     construct_group(f"Z{m}")) is not None), None)
-            # also confirm the order just below the formula value fails
-            below_ok = (target == n or embeds(
-                complete_graph(n), construct_group(f"Z{target - 1}")) is None)
-            yield first == target and below_ok, f"n={n}: search={first}, formula={target}"
+            # first is the least order that hosts K_n, so first == target
+            # also proves that no order from n to target - 1 does
+            yield first == target, f"n={n}: search={first}, formula={target}"
 
     def full_catalog_instances():
         for n in range(2, full_bound + 1):

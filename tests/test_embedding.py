@@ -82,6 +82,15 @@ def test_embeds_agrees_with_brute_force():
         for _ in range(15):
             density = rng.choice((0.3, 0.6, 0.9))
             patterns.append((n, [e for e in pairs if rng.random() < density]))
+    # relabelled patterns whose twin classes an automorphism swaps whole:
+    # the edges of a one-factor, the pairs under an apex, the sides of
+    # K_{3,3} and the three pairs of the octahedron K_{2,2,2}
+    octahedron = SimpleGraph(6, [(u, v) for u, v in itertools.combinations(range(6), 2)
+                                 if u // 2 != v // 2])
+    for seed, pattern in enumerate((one_factor(2), one_factor(3), apex_one_factor(2),
+                                    apex_one_factor(3), complete_bipartite(3, 3), octahedron)):
+        pattern = _relabel(pattern, seed)
+        patterns.append((pattern.n, list(pattern.edges())))
     hosts = [(g, power_graph_edges_brute(g))
              for m in range(1, 11) for g in catalog_for_order(m).groups]
     for n, edges in patterns:
@@ -285,6 +294,14 @@ def test_apex_one_factor_embeds_into_every_odd_group():
         n = (order - 1) // 2
         for g in catalog_for_order(order).groups:
             assert embeds(apex_one_factor(n), g) is not None, g.label
+
+
+def test_apex_one_factor_absences_at_order_24():
+    # nine interchangeable pairs under an apex: without an order among the
+    # pairs these two proofs of absence took a minute each
+    pattern = apex_one_factor(9)
+    for spec in ("Prod(Z4,D6)", "Prod(Z2,A4)"):
+        assert embeds(pattern, construct_group(spec)) is None, spec
 
 
 def test_max_nonidentity_degree():

@@ -14,7 +14,7 @@ import pytest
 
 from powerindex import groups
 from powerindex.groups import (
-    COMPLETE_ORDERS,
+    GROUP_COUNTS,
     CayleyTableError,
     Group,
     GroupSpecError,
@@ -463,11 +463,14 @@ def test_abelian_types_enumeration():
 
 
 def test_spec_grammar_accepts():
-    assert parse_group_spec("Z5") == ("cyclic", 5)
-    assert parse_group_spec(" Z5 ") == ("cyclic", 5)
-    assert parse_group_spec("D10") == ("gdih", (5,))
-    assert parse_group_spec("Q16") == ("dicyclic", 4)
-    assert parse_group_spec("Ab[2,2,4]") == ("ab", (2, 2, 4))
+    assert parse_group_spec("Z5") == ("window", (5,), None)
+    assert parse_group_spec(" Z5 ") == ("window", (5,), None)
+    assert parse_group_spec("D10") == ("window", (5,), 0)
+    assert parse_group_spec("Dic3") == ("window", (6,), 3)
+    assert parse_group_spec("Q16") == parse_group_spec("Dic4") == ("window", (8,), 4)
+    assert parse_group_spec("Ab[2,2,4]") == ("window", (2, 2, 4), None)
+    assert parse_group_spec("GDih[3,3]") == ("window", (3, 3), 0)
+    assert parse_group_spec("A5") == ("perm", 5, True)
     assert parse_group_spec("Prod(Z2,Prod(Z3,D8))")[0] == "prod"
     assert parse_group_spec("cayley:tables/g.json") == ("cayley", "tables/g.json")
 
@@ -488,7 +491,7 @@ def test_order_cap_enforced():
         construct_group("Z5041")
     with pytest.raises(GroupSpecError):
         construct_group("Prod(S5,Z43)")  # 120 * 43 = 5160 > 5040
-    assert parse_group_spec("S7") == ("perm", "S", 7)  # exactly at the cap
+    assert parse_group_spec("S7") == ("perm", 7, False)  # exactly at the cap
 
 
 def test_product_past_the_cap_builds_no_factor():
@@ -609,9 +612,11 @@ def test_cayley_rejects_bad_tables(tmp_path):
 
 def test_catalog_matches_exhaustive_enumeration():
     # Independent check: enumerate all Cayley tables up to isomorphism
-    # for tiny orders and compare class counts.
+    # for tiny orders and compare class counts, both the catalog's and the
+    # published counts that certify completeness.
     for m in range(1, 9):
-        assert len(catalog_for_order(m).groups) == count_groups_up_to_isomorphism(m), m
+        count = count_groups_up_to_isomorphism(m)
+        assert len(catalog_for_order(m).groups) == count == GROUP_COUNTS[m], m
 
 
 def test_catalog_complete_orders_match_classification():
@@ -619,7 +624,28 @@ def test_catalog_complete_orders_match_classification():
         cat = catalog_for_order(m)
         assert cat.complete, m
         assert len(cat.groups) == expected, m
-        assert m in COMPLETE_ORDERS
+    # the dedup is exact, so no catalog outgrows the published count
+    catalogs = {m: catalog_for_order(m) for m in range(1, len(GROUP_COUNTS))}
+    assert all(len(cat.groups) <= GROUP_COUNTS[m] for m, cat in catalogs.items())
+    assert {m for m, cat in catalogs.items() if cat.complete} == set(CLASS_COUNTS)
+
+
+def test_rejected_candidates_leave_the_spec_cache():
+    # Prod(Z2,D6) is a candidate at order 12 that the dedup rejects (it is D12)
+    catalog_for_order.cache_clear()
+    try:
+        with patch.dict(groups._group_cache, clear=True):
+            catalog_for_order(12)
+            cached = set(groups._group_cache)
+            assert "Prod(Z2,D6)" not in cached
+            assert cached <= {g.label for m in range(1, 13) for g in catalog_for_order(m).groups}
+        catalog_for_order.cache_clear()
+        with patch.dict(groups._group_cache, clear=True):
+            g = construct_group("Prod(Z2,D6)")
+            assert "Prod(Z2,D6)" not in [h.label for h in catalog_for_order(12).groups]
+            assert construct_group("Prod(Z2,D6)") is g
+    finally:
+        catalog_for_order.cache_clear()
 
 
 def test_catalog_incomplete_orders():

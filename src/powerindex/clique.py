@@ -1,5 +1,11 @@
 """Exact maximum clique for small graphs.
 
+True twins, vertices with one closed neighbourhood, lie in the same
+cliques, so the search runs on their classes, read from the rows alone:
+each class stands as its least member, weighted by its size.  On a power
+graph each cyclic class is a clique of twins (Feng, Ma & Wang, *Eur. J.
+Combin.* 43, 2015).
+
 Branch and bound in the style of Tomita, seeded as in BBMC (San Segundo
 et al., *Comput. Oper. Res.* 38, 2011):
 
@@ -7,8 +13,9 @@ et al., *Comput. Oper. Res.* 38, 2011):
   static order, degree descending with the lowest id on ties, and keeps
   each one adjacent to every vertex kept so far.  On power graphs the
   root coloring often matches it, so the search ends at the root.
-- Candidates are greedily colored by ascending id, color counts bound the
-  achievable clique size, and subtrees that cannot beat the incumbent are
+- Candidates are greedily colored by ascending id; a clique takes at most
+  one vertex of each color, so the heaviest class of each color, summed,
+  bounds its weight, and subtrees that cannot beat the incumbent are
   cut.  The search runs on an explicit stack, so its depth is not limited
   by the interpreter's recursion limit.
 
@@ -44,27 +51,36 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
         raise ValueError("clique_number needs at least one vertex")
     adj = gr.adj
 
+    # Twin classes by closed neighbourhood; only their least members, of
+    # nonzero weight, are ever candidates, so adj needs no masking.
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(adj[v] | 1 << v, []).append(v)
+    weight = [0] * n
+    for members in classes.values():
+        weight[members[0]] = len(members)
+    full = sum(1 << v for v, w in enumerate(weight) if w)
+
     # Greedy incumbent: by degree descending (the sort is stable, so lowest
-    # id on ties), each vertex adjacent to all those kept so far stays.
-    best_mask = 0
+    # id on ties), each class adjacent to all those kept so far stays.
+    best_mask = best_size = 0
     deg = gr.degrees()
     for v in sorted(range(n), key=deg.__getitem__, reverse=True):
-        if best_mask & adj[v] == best_mask:
+        if weight[v] and best_mask & adj[v] == best_mask:
             best_mask |= 1 << v
-    best_size = best_mask.bit_count()
-    full = (1 << n) - 1
+            best_size += weight[v]
 
     def color_pairs(p_mask: int) -> list[tuple[int, int]]:
         # Greedy coloring by ascending id, built one color class at a time:
         # a class is the ascending-id maximal independent set of the vertices
         # still uncolored, which is the class first-fit would give.  Pairs
-        # (vertex, color) come grouped by ascending color, descending id
-        # within a class, so the scan from the end expands low ids first.
+        # (vertex, bound) come grouped by ascending color, descending id
+        # within a class, so the scan from the end expands low ids first;
+        # bound sums the heaviest weight of each color up to the vertex's.
         pairs: list[tuple[int, int]] = []
-        color = 0
+        bound = 0
         uncolored = p_mask
         while uncolored:
-            color += 1
             members = []
             q = uncolored
             while q:
@@ -73,7 +89,8 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
                 members.append(v)
                 uncolored ^= low
                 q &= ~(adj[v] | low)
-            pairs.extend((v, color) for v in reversed(members))
+            bound += max(map(weight.__getitem__, members))
+            pairs.extend((v, bound) for v in reversed(members))
         return pairs
 
     # Frame: [r_mask, r_size, p_mask, pairs, cursor]; pairs[:cursor] are the
@@ -87,9 +104,9 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
             stack.pop()
             continue
         i -= 1
-        v, color = pairs[i]
-        if r_size + color <= best_size:
-            stack.pop()  # every remaining candidate has color <= this one
+        v, bound = pairs[i]
+        if r_size + bound <= best_size:
+            stack.pop()  # every remaining candidate has a bound <= this one
             continue
         bit = 1 << v
         frame[2] = p_mask ^ bit
@@ -97,13 +114,9 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
         child = p_mask & adj[v]
         if child:
             child_pairs = color_pairs(child)
-            stack.append([r_mask | bit, r_size + 1, child, child_pairs, len(child_pairs)])
-        elif r_size + 1 > best_size:
-            best_size, best_mask = r_size + 1, r_mask | bit
+            stack.append([r_mask | bit, r_size + weight[v], child, child_pairs, len(child_pairs)])
+        elif r_size + weight[v] > best_size:
+            best_size, best_mask = r_size + weight[v], r_mask | bit
 
-    witness = []
-    m = best_mask
-    while m:
-        witness.append((m & -m).bit_length() - 1)
-        m &= m - 1
+    witness = sorted(u for v in range(n) if best_mask >> v & 1 for u in classes[adj[v] | 1 << v])
     return CliqueResult(best_size, tuple(witness))

@@ -628,10 +628,30 @@ def _candidate_specs(m: int) -> list[str]:
     return specs
 
 
+def _factor_key(spec: str) -> tuple:
+    """Sorted direct factors of the group a spec names; equal keys name
+    isomorphic groups.  Prod flattens to its leaves; Z and Ab split into
+    cyclic factors of prime-power order; Dih(A) gives one Z2 per Z2
+    elementary divisor of A, as Dih(B x Z2) = Dih(B) x Z2, and Dih of the
+    rest A' unless A' is trivial; any other leaf is keyed by its spec."""
+    tree = parse_group_spec(spec)
+    if tree[0] == "prod":
+        return tuple(sorted(_factor_key(tree[1]) + _factor_key(tree[2])))
+    if tree[0] != "window" or tree[2]:
+        return (("spec", spec.strip()),)
+    divisors = sorted(p ** r for d in tree[1] for p, r in factorize(d).factors)
+    if tree[2] is None:
+        return tuple(("Z", q) for q in divisors)
+    rest = tuple(q for q in divisors if q != 2)
+    twos = (("Z", 2),) * (len(divisors) - len(rest) + (not rest))
+    return tuple(sorted(twos + ((("Dih", rest),) if rest else ())))
+
+
 @lru_cache(maxsize=None)
 def catalog_for_order(m: int) -> Catalog:
     """All family-expressible groups of order m up to isomorphism.
 
+    A candidate with an earlier one's ``_factor_key`` is skipped unbuilt.
     The dedup is an exact isomorphism test, so the groups are pairwise
     non-isomorphic, and there being GROUP_COUNTS[m] of them certifies
     complete=True: every group of order m is among them.  A rejected
@@ -641,7 +661,12 @@ def catalog_for_order(m: int) -> Catalog:
         raise ValueError("order must be >= 1")
     _check_cap(m)
     reps: list[tuple[Group, tuple]] = []
+    keys = set()
     for spec in _candidate_specs(m):
+        key = _factor_key(spec)
+        if key in keys:
+            continue
+        keys.add(key)
         cached = spec in _group_cache
         g = construct_group(spec)
         fp = group_fingerprint(g)

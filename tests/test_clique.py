@@ -101,7 +101,11 @@ def _hub_over_independent_set(k, s):
 
 
 def test_deep_search_needs_no_recursion():
-    gr = _hub_over_independent_set(300, 301)
+    # a pendant leaf on each of the 300 clique vertices leaves the graph
+    # without true twins, so the search must go 300 frames deep
+    k, s = 300, 301
+    gr = _hub_over_independent_set(k, s)
+    gr = SimpleGraph(gr.n + k, gr.edges() + [(v, k + 1 + s + v) for v in range(k)])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -134,5 +138,42 @@ def test_against_bruteforce_property(case):
     gr = SimpleGraph(n, edges)
     res = clique_number(gr)
     assert res.size == brute_max_clique(n, {frozenset(e) for e in edges})
+    assert len(set(res.witness)) == res.size
+    _assert_is_clique(gr, res.witness)
+
+
+@st.composite
+def _blown_up_graphs(draw):
+    """A graph of at most 8 vertices with each vertex blown up into 1-3
+    true twins under shuffled ids, with the copies of each vertex."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    perm = draw(st.permutations(range(starts[-1])))
+    copies = [perm[starts[v]:starts[v + 1]] for v in range(n)]
+    edges = [(a, b) for c in copies for a, b in itertools.combinations(c, 2)]
+    edges += [(a, b) for (u, v), kept in zip(pairs, keep) if kept
+              for a in copies[u] for b in copies[v]]
+    return starts[-1], edges, copies
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_blown_up_graphs())
+def test_twin_blow_ups_against_bruteforce(case):
+    # brute force over the graph before the blow-up: a maximum clique
+    # takes every copy of each vertex of a heaviest clique there
+    n, edges, copies = case
+    gr = SimpleGraph(n, edges)
+    res = clique_number(gr)
+    base = [c[0] for c in copies]
+    assert res.size == max(
+        sum(len(copies[i]) for i in sub)
+        for r in range(1, len(base) + 1)
+        for sub in itertools.combinations(range(len(base)), r)
+        if all(gr.has_edge(base[i], base[j]) for i, j in itertools.combinations(sub, 2)))
+    if n <= 12:
+        assert res.size == brute_max_clique(n, {frozenset(e) for e in edges})
     assert len(set(res.witness)) == res.size
     _assert_is_clique(gr, res.witness)

@@ -29,6 +29,7 @@ from powerindex.groups import (
     parse_group_spec,
     _candidate_specs,
     _conjugacy_class_sizes,
+    _factor_key,
     _walk,
 )
 
@@ -399,12 +400,75 @@ def test_isomorphism_agrees_with_oracle_on_equal_fingerprints():
 
 
 def test_catalog_labels_unchanged():
-    # sha256 of the catalog labels of orders 1..128, one line per order with
-    # labels separated by spaces, first 16 hex digits, as the catalog stood
-    # before the isomorphism search branched on generator images
-    text = "\n".join(" ".join(g.label for g in catalog_for_order(m).groups)
-                     for m in range(1, 129))
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "92ac3382ad506c3d"
+    # sha256 of the catalogs of orders 1..256, one line per order: "+" if
+    # the catalog is complete, else "-", then its labels, all separated by
+    # spaces; first 16 hex digits, as the catalog stood before candidates
+    # were skipped by factor key
+    text = "\n".join(" ".join(["+" if cat.complete else "-"] + [g.label for g in cat.groups])
+                     for cat in map(catalog_for_order, range(1, 257)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "c00b37372a96da0c"
+
+
+def test_factor_key_examples():
+    # products flatten and commute, cyclic factors split by the CRT, and
+    # Dih(B x Z2) = Dih(B) x Z2
+    for a, b in (("Prod(Z3,Prod(Z2,Z4))", "Prod(Z2,Prod(Z3,Z4))"),
+                 ("Prod(Z2,D34)", "D68"), ("Prod(Z2,D6)", "D12"),
+                 ("Z6", "Ab[2,3]"), ("D4", "Ab[2,2]"), ("D2", "Z2"),
+                 ("GDih[2,2]", "Ab[2,2,2]"), ("GDih[2,6]", "Prod(Ab[2,2],D6)"),
+                 ("Prod(Z1,Q8)", "Q8")):
+        assert _factor_key(a) == _factor_key(b), (a, b)
+    # S3 = D6 and Q8 = Dic2 are left to the isomorphism test; D8, Z8 and
+    # Ab[2,4] are distinct groups
+    for a, b in (("S3", "D6"), ("Q8", "Dic2"), ("D8", "Prod(Z2,Z4)"), ("Z8", "Ab[2,4]")):
+        assert _factor_key(a) != _factor_key(b), (a, b)
+
+
+def test_equal_factor_keys_name_isomorphic_groups():
+    # the catalog skips a candidate whose key an earlier one had, unbuilt,
+    # so every pair of candidates with equal keys must be isomorphic
+    pairs = 0
+    for m in range(1, 65):
+        by_key = {}
+        for spec in _candidate_specs(m):
+            by_key.setdefault(_factor_key(spec), []).append(spec)
+        for specs in by_key.values():
+            for a, b in itertools.combinations(specs, 2):
+                g, h = construct_group(a), construct_group(b)
+                assert are_isomorphic(g, h), (a, b)
+                if m <= 24:
+                    assert tables_isomorphic(g.mul, h.mul), (a, b)
+                pairs += 1
+    assert pairs >= 50
+
+
+def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
+    # orders 1..128 keep 629 groups; of their candidates only one is built
+    # and then rejected by the isomorphism test: S3, which is D6
+    built, rejected = [], []
+    build_table, isomorphic = groups._build_table, groups.are_isomorphic
+
+    def counted_build(tree):
+        built.append(tree)
+        return build_table(tree)
+
+    def counted_isomorphic(g, h):
+        found = isomorphic(g, h)
+        if found:
+            rejected.append(g.label)
+        return found
+
+    monkeypatch.setattr(groups, "_build_table", counted_build)
+    monkeypatch.setattr(groups, "are_isomorphic", counted_isomorphic)
+    catalog_for_order.cache_clear()
+    try:
+        with patch.dict(groups._group_cache, clear=True):
+            kept = sum(len(catalog_for_order(m).groups) for m in range(1, 129))
+    finally:
+        catalog_for_order.cache_clear()
+    assert kept == 629
+    assert len(built) == 630
+    assert rejected == ["S3"]
 
 
 def test_cyclic_and_abelian_predicates():
@@ -630,20 +694,30 @@ def test_catalog_complete_orders_match_classification():
     assert {m for m, cat in catalogs.items() if cat.complete} == set(CLASS_COUNTS)
 
 
-def test_rejected_candidates_leave_the_spec_cache():
-    # Prod(Z2,D6) is a candidate at order 12 that the dedup rejects (it is D12)
+def test_rejected_candidates_leave_the_spec_cache(monkeypatch):
+    # S3 is a candidate at order 6 that the dedup rejects (it is D6), and
+    # Prod(Z2,D6) at order 12 has the factor key of D12, so it is never built
+    built = []
+    build_table = groups._build_table
+
+    def counted_build(tree):
+        built.append(tree)
+        return build_table(tree)
+
+    monkeypatch.setattr(groups, "_build_table", counted_build)
     catalog_for_order.cache_clear()
     try:
         with patch.dict(groups._group_cache, clear=True):
             catalog_for_order(12)
             cached = set(groups._group_cache)
-            assert "Prod(Z2,D6)" not in cached
+            assert ("perm", 3, False) in built and "S3" not in cached
+            assert ("prod", "Z2", "D6") not in built
             assert cached <= {g.label for m in range(1, 13) for g in catalog_for_order(m).groups}
         catalog_for_order.cache_clear()
         with patch.dict(groups._group_cache, clear=True):
-            g = construct_group("Prod(Z2,D6)")
-            assert "Prod(Z2,D6)" not in [h.label for h in catalog_for_order(12).groups]
-            assert construct_group("Prod(Z2,D6)") is g
+            g = construct_group("S3")
+            assert "S3" not in [h.label for h in catalog_for_order(6).groups]
+            assert construct_group("S3") is g
     finally:
         catalog_for_order.cache_clear()
 

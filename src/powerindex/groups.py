@@ -1,4 +1,4 @@
-"""Finite groups as dense multiplication tables over identifiers 0..n-1.
+"""Finite groups on identifiers 0..n-1, with multiplication tables on demand.
 
 Groups are built from a small spec grammar (cyclic, abelian, dihedral,
 generalized dihedral, dicyclic/quaternion, symmetric/alternating, direct
@@ -6,6 +6,9 @@ products, external Cayley tables) and served per order through a catalog
 that deduplicates up to isomorphism and is flagged complete when its size
 reaches the known group count.  The identity always sits at identifier 0.
 
+Each family walks its cyclic subgroups, all that the power graph reads,
+by its own arithmetic, so its table is built on the first read of ``mul``:
+by a product, the conjugacy classes or the isomorphism search.
 One window builder makes the abelian, dihedral, generalized dihedral and
 dicyclic tables, beside one for direct products and one for S_k and A_k.
 Each takes its rows from ``_row_type``: ``bytes`` up to order 256, lists
@@ -22,8 +25,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from math import factorial, gcd, isqrt, prod
-from operator import iadd, itemgetter
+from math import factorial, gcd, isqrt, lcm, prod
+from operator import add, iadd, itemgetter
 
 from .numtheory import factorize
 
@@ -62,6 +65,10 @@ class CyclicClass:
 class Group:
     """Immutable-by-convention finite group on identifiers 0..n-1.
 
+    ``Group(mul, label)`` walks powers along the table mul.  ``Group(build,
+    label, n, powers)`` calls build() for the table on the first read of
+    ``mul``, and takes the members of <x> in power order from powers(x).
+
     One walk over each cyclic subgroup gives every per-element fact: the
     generators of <x> are the powers x^j with gcd(j, |x|) = 1, each has
     order |x| and inverse x^(|x| - j).  The walk also gives
@@ -74,15 +81,15 @@ class Group:
     the class its degree.
     """
 
-    __slots__ = ("n", "label", "mul", "inv", "orders", "cyclic_classes")
+    __slots__ = ("n", "label", "_mul", "_powers", "inv", "orders", "cyclic_classes")
 
-    def __init__(self, mul, label: str):
-        n = len(mul)
+    def __init__(self, mul, label: str, n: int | None = None, powers=None):
+        n = n or len(mul)
         if n == 0:
             raise ValueError("empty multiplication table")
         self.n = n
         self.label = label
-        self.mul = mul
+        self._mul, self._powers = mul, powers
         orders = [0] * n
         inv = [0] * n
         class_of = [-1] * n
@@ -113,8 +120,17 @@ class Group:
         self.inv = tuple(inv)
         self.cyclic_classes = tuple(map(CyclicClass, members, comparable, degree))
 
+    @property
+    def mul(self):
+        """The table, built on the first read if a builder stood in for it."""
+        if callable(self._mul):
+            self._mul = self._mul()
+        return self._mul
+
     def cyclic_subgroup(self, x: int) -> list[int]:
         """Members of <x> in power order starting at the identity."""
+        if self._powers is not None:
+            return self._powers(x)
         members = [0]
         acc = x
         while acc != 0:
@@ -243,15 +259,46 @@ def _join(as_row, windows):
     return as_row(reduce(iadd, windows, as_row()))
 
 
+def _window_powers(ds: tuple[int, ...], z: int | None, x: int) -> list[int]:
+    """Powers in the group of ``_window_table(ds, z)``: those of x^a are
+    the multiples t*a, digit by digit in the mixed radix; x^a y squares to
+    z, so its powers are [0, x^a y], or [0, x^a y, z, x^(a+z) y] if z != 0."""
+    weights = [prod(ds[i + 1:]) for i in range(len(ds))]
+    h = ds[0] * weights[0]
+    if x >= h:
+        az = sum(((x - h) // w + z // w) % d * w for w, d in zip(weights, ds)) if z else 0
+        return [0, x, z, h + az] if z else [0, x]
+    xs = [x // w % d for w, d in zip(weights, ds)]
+    k = lcm(*(d // gcd(a, d) for a, d in zip(xs, ds)))
+    return list(reduce(partial(map, add), ([t * a % d * w for t in range(k)]
+                                           for a, d, w in zip(xs, ds, weights))))
+
+
+@lru_cache(maxsize=None)
+def _perms(k: int, even: bool) -> tuple[list[tuple[int, ...]], dict]:
+    """The permutations of S_k or A_k in lexicographic order, and their indices."""
+    pairs = list(itertools.combinations(range(k), 2))
+    perms = [p for p in itertools.permutations(range(k))
+             if not even or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    return perms, {p: i for i, p in enumerate(perms)}
+
+
+def _perm_powers(k: int, even: bool, x: int) -> list[int]:
+    """Powers in S_k or A_k, each step composing with x's permutation."""
+    perms, index = _perms(k, even)
+    step, members, q = itemgetter(*perms[x]), [0], perms[x]
+    while q != perms[0]:
+        members.append(index[q])
+        q = step(q)
+    return members
+
+
 def _perm_table(k: int, even: bool):
     """S_k or A_k on its permutations in lexicographic order, the product
     p*q being p after q.  Only the generators' rows compose permutations;
     every other row follows the walk, as row(x*s) = row(x) permuted by
     row(s)."""
-    pairs = list(itertools.combinations(range(k), 2))
-    perms = [p for p in itertools.permutations(range(k))
-             if not even or sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
-    index = {p: i for i, p in enumerate(perms)}
+    perms, index = _perms(k, even)
     n = len(perms)
     as_row = _row_type(n)
     rows = [as_row(index.values())] + [None] * (n - 1)
@@ -283,6 +330,12 @@ def _product_table(mul_a, mul_b):
         for a1, mra in enumerate(mul_a):
             rows[a1 * nb + b1] = _join(as_row, map(permuted.__getitem__, mra))
     return rows
+
+
+def _product_powers(ga: Group, gb: Group, x: int) -> list[int]:
+    """Powers in ga x gb, componentwise from the factors' powers."""
+    pa, pb = ga.cyclic_subgroup(x // gb.n), gb.cyclic_subgroup(x % gb.n)
+    return [pa[t % len(pa)] * gb.n + pb[t % len(pb)] for t in range(lcm(len(pa), len(pb)))]
 
 
 # ── spec grammar ─────────────────────────────────────────────────────────────
@@ -359,12 +412,18 @@ _group_cache: dict[str, Group] = {}
 
 def construct_group(spec: str) -> Group:
     """Build the group named by a spec string; deterministic per spec, and
-    built once per process, a cayley: file included."""
+    built once per process, a cayley: file included.  The order cap is
+    checked first, so a product past it builds no factor."""
     spec = spec.strip()
     if spec not in _group_cache:
         tree = parse_group_spec(spec)
-        _group_cache[spec] = (_load_cayley(tree[1], spec) if tree[0] == "cayley"
-                              else Group(_build_table(tree), spec))
+        if tree[0] == "cayley":
+            _group_cache[spec] = _load_cayley(tree[1], spec)
+        else:
+            _check_cap(n := _order(tree))
+            powers = (partial(_product_powers, *map(construct_group, tree[1:])) if tree[0] == "prod"
+                      else partial(_window_powers if tree[0] == "window" else _perm_powers, *tree[1:]))
+            _group_cache[spec] = Group(partial(_build_table, tree), spec, n, powers)
     return _group_cache[spec]
 
 
@@ -382,7 +441,6 @@ def _order(tree) -> int:
 
 
 def _build_table(tree):
-    _check_cap(_order(tree))  # before any factor of a product is built
     kind, *args = tree
     if kind == "prod":  # construct_group caches the factors, so none is rebuilt
         return _product_table(*(construct_group(spec).mul for spec in args))

@@ -338,9 +338,12 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
     endpoint edge, and pair every vertex left over with its inverse.
 
     All (iii) requirements are validated and violations reported
-    individually.  The interior count of each identity-free path is checked
-    to be at least 2 at runtime; no instance violating it is known, but the
-    step is not justified in general.
+    individually.  They give each identity-free path an interior of even
+    size >= 2.  Its ends are distinct involutions, never adjacent (the
+    powers of one are itself and the identity), so the interior is not
+    empty.  The paths are disjoint, with the involutions and the identity
+    as ends, so the interior holds none of them; it is inverse-closed, as
+    the path is and its ends are self-inverse, so its size is even.
     """
     ubar = involutions(g) | {0}
     if len(c.paths) * 2 != len(ubar):
@@ -375,9 +378,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
             continue
         interior = v[1:-1]
         if len(interior) < 2:
-            raise ValueError(
-                f"path {v} has fewer than 2 interior vertices; "
-                "no such instance should exist, please report it")
+            raise AssertionError(f"path {v} passed the checks with fewer than 2 interior vertices")
         compressed = compress_path(g, gr, InversePath(interior))
         chain = (v[0],) + compressed.vertices + (v[-1],)
         edges.extend((chain[j], chain[j + 1]) for j in range(0, len(chain), 2))

@@ -289,18 +289,25 @@ def is_abelian_brute(group) -> bool:
     return all(mul[a][b] == mul[b][a] for a in range(group.n) for b in range(a))
 
 
+def table_powers(mul, x: int) -> list[int]:
+    """Members of <x> in power order from the identity, by walking the
+    multiplication table."""
+    members, acc = [0], x
+    while acc != 0:
+        assert len(members) < len(mul), f"powers of {x} never reach the identity"
+        members.append(acc)
+        acc = mul[acc][x]
+    return members
+
+
 def subgroups_of_prime_order(group, p: int) -> list[frozenset[int]]:
     """The distinct subgroups of prime order p, each as the set of powers
     of one of its elements."""
     subs: list[frozenset[int]] = []
     for x in range(group.n):
-        powers = {0}
-        acc = x
-        while acc != 0:
-            powers.add(acc)
-            acc = group.mul[acc][x]
+        powers = frozenset(table_powers(group.mul, x))
         if len(powers) == p and powers not in subs:
-            subs.append(frozenset(powers))
+            subs.append(powers)
     return subs
 
 

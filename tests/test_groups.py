@@ -13,6 +13,8 @@ from unittest.mock import patch
 import pytest
 
 from powerindex import groups
+from powerindex.embedding import embeds, max_nonidentity_degree
+from powerindex.graphs import complete_bipartite, power_graph
 from powerindex.groups import (
     GROUP_COUNTS,
     CayleyTableError,
@@ -32,6 +34,7 @@ from powerindex.groups import (
     _factor_key,
     _walk,
 )
+from powerindex.matching import check_theorem44
 
 from oracles import (
     count_groups_up_to_isomorphism,
@@ -40,6 +43,7 @@ from oracles import (
     orders_and_inverses_brute,
     power_graph_edges_brute,
     subgroups_of_prime_order,
+    table_powers,
     tables_isomorphic,
     unique_subgroup_of_prime_order,
     window_table_brute,
@@ -243,6 +247,41 @@ def test_cyclic_subgroup_and_generation():
     assert d8.cyclic_subgroup(d8.inv[rotation]) == [0, powers[3], powers[2], rotation]
 
 
+def test_family_powers_agree_with_the_table(tmp_path):
+    # each family walks its powers by its own arithmetic, never reading
+    # the table; here the table is read, and every walk is checked against
+    # it, as is each fact the walk gives against a group given the table
+    path = tmp_path / "dic3.json"
+    path.write_text(json.dumps({"n": 12, "mul": [list(r) for r in construct_group("Dic3").mul]}))
+    specs = [spec for m in range(1, 129) for spec in _candidate_specs(m)]
+    specs += ["Z1680", "D600", "Dic300", "S6", "A5", "Ab[2,2,4,60]", "Q64",
+              "Prod(S3,Q8)", f"Prod(cayley:{path},Z4)"]
+    with patch.dict(groups._group_cache):
+        for spec in specs:
+            g = construct_group(spec)
+            for x in range(g.n):
+                assert g.cyclic_subgroup(x) == table_powers(g.mul, x), (spec, x)
+            h = Group(g.mul, spec)
+            assert (g.orders, g.inv, g.cyclic_classes) == (h.orders, h.inv, h.cyclic_classes), spec
+
+
+def test_table_free_work_builds_no_table(monkeypatch):
+    built = []
+    build_table = groups._build_table
+    monkeypatch.setattr(groups, "_build_table", lambda tree: built.append(tree) or build_table(tree))
+    with patch.dict(groups._group_cache, clear=True):
+        g = construct_group("Z5040")
+        assert check_theorem44(g).optimal
+        assert max_nonidentity_degree(g).holds
+        assert power_graph(g).graph.n == g.n
+        assert embeds(complete_bipartite(3, 4), g) is not None
+        for spec in ("Z5041", "Prod(S7,Z2)"):
+            with pytest.raises(GroupSpecError, match="cap"):
+                construct_group(spec)
+        assert set(groups._group_cache) == {"Z5040"}
+    assert built == []
+
+
 def test_cyclic_classes_partition_and_comparability():
     # classes partition the group by generated subgroup, two distinct
     # elements are power-graph adjacent iff their classes are comparable,
@@ -321,8 +360,10 @@ def test_catalog_lists_its_abelian_groups_first():
 
 
 def test_product_reuses_cached_factor_tables(monkeypatch):
+    # tables are built on the first read of mul, so the factor's table is
+    # read before counting, and the product's only when construction is done
     spec = "Prod(Z3,Prod(Z2,S3))"
-    construct_group("Prod(Z2,S3)")
+    construct_group("Prod(Z2,S3)").mul
     monkeypatch.delitem(groups._group_cache, spec, raising=False)
     calls = []
     product_table = groups._product_table
@@ -333,8 +374,9 @@ def test_product_reuses_cached_factor_tables(monkeypatch):
 
     monkeypatch.setattr(groups, "_product_table", counted)
     g = construct_group(spec)
-    assert calls == [(3, 12)]
+    assert calls == []
     assert _table_digest(g.mul) == TABLE_DIGESTS[spec]
+    assert calls == [(3, 12)]
 
 
 def test_isomorphism_walks_each_group_once(monkeypatch):
@@ -444,9 +486,15 @@ def test_equal_factor_keys_name_isomorphic_groups():
 
 def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
     # orders 1..128 keep 629 groups; of their candidates only one is built
-    # and then rejected by the isomorphism test: S3, which is D6
-    built, rejected = [], []
-    build_table, isomorphic = groups._build_table, groups.are_isomorphic
+    # and then rejected by the isomorphism test: S3, which is D6.  Only
+    # that comparison reads a table, so only S3 and D6 build one
+    constructed, built, rejected = [], [], []
+    group, build_table, isomorphic = groups.Group, groups._build_table, groups.are_isomorphic
+
+    def counted_group(*args):
+        g = group(*args)
+        constructed.append(g.label)
+        return g
 
     def counted_build(tree):
         built.append(tree)
@@ -458,6 +506,7 @@ def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
             rejected.append(g.label)
         return found
 
+    monkeypatch.setattr(groups, "Group", counted_group)
     monkeypatch.setattr(groups, "_build_table", counted_build)
     monkeypatch.setattr(groups, "are_isomorphic", counted_isomorphic)
     catalog_for_order.cache_clear()
@@ -467,8 +516,9 @@ def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
     finally:
         catalog_for_order.cache_clear()
     assert kept == 629
-    assert len(built) == 630
+    assert len(constructed) == len(set(constructed)) == 630
     assert rejected == ["S3"]
+    assert sorted(built) == [parse_group_spec("S3"), parse_group_spec("D6")]
 
 
 def test_cyclic_and_abelian_predicates():

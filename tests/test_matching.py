@@ -341,6 +341,22 @@ def test_matching_from_cover_rejects_bad_covers():
         matching_from_path_cover(q8, gr8, PathCover((InversePath((2, 5)),)))
 
 
+def test_shortest_identity_free_paths():
+    # Ab[2,6] has the involutions 3, 6 and 9.  A path from 6 to 9 with
+    # fewer than 2 interior vertices fails the checks (ValueError) before
+    # assembly; 6, 8, 10, 2, 4, 11, 7, 9 is the shortest identity-free path
+    # in the covers check_theorem44 builds for the catalog up to order 64
+    g = construct_group("Ab[2,6]")
+    gr = power_graph(g).graph
+    for short in ((6, 9), (6, 8, 9), (6, 2, 9)):
+        with pytest.raises(ValueError):
+            matching_from_path_cover(g, gr, PathCover((InversePath((0, 3)), InversePath(short))))
+    cover = PathCover((InversePath((0, 3)), InversePath((6, 8, 10, 2, 4, 11, 7, 9))))
+    m = matching_from_path_cover(g, gr, cover)
+    assert m.is_perfect(12)
+    assert (0, 3) in m.edges and (1, 5) in m.edges
+
+
 def test_check_theorem44():
     assert check_theorem44(construct_group("Z12")).optimal
     report = check_theorem44(construct_group("D10"))

@@ -9,12 +9,12 @@ reaches the known group count.  The identity always sits at identifier 0.
 Each family walks its cyclic subgroups, all that the power graph reads,
 by its own arithmetic, so its table is built on the first read of ``mul``:
 by a product, the conjugacy classes or the isomorphism search.
-One window builder makes the abelian, dihedral, generalized dihedral and
-dicyclic tables, beside one for direct products and one for S_k and A_k.
-Each takes its rows from ``_row_type``: ``bytes`` up to order 256, lists
-to 1024 and ``array('H')`` above.  One greedy-generator walk (``_walk``)
-is the only closure under multiplication.  Power-graph degrees come from
-the cyclic classes, so nothing here builds a power graph.
+One builder fills every table along the greedy-generator walk
+(``_walk``), the only closure under multiplication: a generator's row
+from the family's product, every other row as row(x*s) = row(x)
+permuted by row(s).  Rows come from ``_row_type``: ``bytes`` up to
+order 256, lists to 1024 and ``array('H')`` above.  Power-graph degrees
+come from the cyclic classes, so nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import factorial, gcd, isqrt, lcm, prod
-from operator import add, iadd, itemgetter
+from operator import add, itemgetter
 
 from .numtheory import factorize
 
@@ -174,12 +174,11 @@ def _row_type(n: int):
     Up to 256 every entry fits in a byte, so rows are ``bytes``: one byte
     per entry, no pointers for the cyclic GC to walk, and each entry read
     is a cached small int.  From 257 to 1024 rows are lists, whose entries
-    all point into one shared list of ints, as each builder and the
+    all point into one shared row of ids, as ``_build_table`` and the
     ``cayley:`` loader arrange: a read returns a stored int where an
     ``array('H')`` read makes a new one, and 8 bytes per entry is still
-    small at these orders.  Past 1024 rows
-    are ``array('H')``, 2 bytes per entry, as list rows of S7 would take
-    200 MB."""
+    small at these orders.  Past 1024 rows are ``array('H')``, 2 bytes per
+    entry, as list rows of S7 would take 200 MB."""
     if n <= 256:
         return bytes
     return list if n <= 1024 else partial(array, "H")
@@ -215,52 +214,23 @@ def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
     return levels
 
 
-def _window_table(ds: tuple[int, ...], z: int | None = None):
-    """Table of A = Z_d1 x ... x Z_dk, (a1, ..., ak) at its mixed-radix
-    index; or, given z = -z in A, of A extended by y with y a y^-1 = a^-1
-    and y^2 = z, x^a y^s at s*|A| + a (z = 0: generalized dihedral; A =
-    Z_2m, z = m: dicyclic).  Built one factor at a time: with a = a'd + k,
-    b = b'd + l over the next factor Z_d, the ids fall in blocks of d, one
-    per element of the table so far (extended by z's leading digits),
-    which names the block of each product: x^a x^b y^t lies in that of
-    x^a' x^b' y^t at k + l, and x^a y x^b y^t in that of x^a' y x^b' y^t
-    at k - l (+ z's digit if t = 1).  Over l these are windows of a
-    doubled block or its reverse, so a row joins one window per block,
-    and list rows share one list of ints."""
-    rows = [[0]] if z is None else [[0, 1], [1, 0]]
-    for i, d in enumerate(ds, 1):
-        outer = rows
-        m = len(outer) // (1 if z is None else 2)  # blocks of A
-        h, n = m * d, len(outer) * d
-        as_row = _row_type(n)
-        ids = as_row(range(n))
-        up = [ids[c:c + d] * 2 for c in range(0, n, d)]
-        down = [block[::-1] for block in up]
-        zi = 0 if z is None else z // prod(ds[i:]) % d  # z's digit at Z_d
-        rows = [None] * n
-        for k in range(d):  # the windows at k serve rows x^(a'd + k) and x^(a'd + k) y
-            ups = [block[k:k + d] for block in up]
-            for a in range(m):
-                rows[a * d + k] = _join(as_row, map(ups.__getitem__, outer[a]))
-            if z is not None:
-                lo, hi = d - 1 - (k + zi) % d, d - 1 - k
-                downs = [block[lo:lo + d] for block in down[:m]]
-                downs += [block[hi:hi + d] for block in down[m:]]
-                for a in range(m):
-                    rows[h + a * d + k] = _join(as_row, map(downs.__getitem__, outer[m + a]))
-    return rows
-
-
-def _join(as_row, windows):
-    """A row from its windows: bytes in one copy; a list or array takes
-    each window by +=, and a last copy trims the slack += leaves."""
-    if as_row is bytes:
-        return b"".join(windows)
-    return as_row(reduce(iadd, windows, as_row()))
+def _window_right(ds: tuple[int, ...], z: int | None, x: int, s: int) -> int:
+    """x*s in A = Z_d1 x ... x Z_dk, a at its mixed-radix index; or, given
+    z = -z in A, in A extended by y with y a y^-1 = a^-1 and y^2 = z, x^a
+    y^t at t*|A| + a (z = 0: generalized dihedral; A = Z_2m, z = m:
+    dicyclic).  Digit by digit, x^a x^b = x^(a+b), x^a y x^b = x^(a-b) y
+    and y^2 = z."""
+    h = prod(ds)
+    (t, a), (u, b) = divmod(x, h), divmod(s, h)
+    c, w = 0, h
+    for d in ds:
+        w //= d
+        c += (a // w + (-1) ** t * (b // w) + (t & u and z // w)) % d * w
+    return (t ^ u) * h + c
 
 
 def _window_powers(ds: tuple[int, ...], z: int | None, x: int) -> list[int]:
-    """Powers in the group of ``_window_table(ds, z)``: those of x^a are
+    """Powers in the group of ``_window_right(ds, z)``: those of x^a are
     the multiples t*a, digit by digit in the mixed radix; x^a y squares to
     z, so its powers are [0, x^a y], or [0, x^a y, z, x^(a+z) y] if z != 0."""
     weights = [prod(ds[i + 1:]) for i in range(len(ds))]
@@ -291,45 +261,6 @@ def _perm_powers(k: int, even: bool, x: int) -> list[int]:
         members.append(index[q])
         q = step(q)
     return members
-
-
-def _perm_table(k: int, even: bool):
-    """S_k or A_k on its permutations in lexicographic order, the product
-    p*q being p after q.  Only the generators' rows compose permutations;
-    every other row follows the walk, as row(x*s) = row(x) permuted by
-    row(s)."""
-    perms, index = _perms(k, even)
-    n = len(perms)
-    as_row = _row_type(n)
-    rows = [as_row(index.values())] + [None] * (n - 1)
-    getters = {}
-    for level in _walk(n, lambda x, s: index[itemgetter(*perms[s])(perms[x])]):
-        for y, x, s in level:
-            if x == 0:
-                rows[y] = as_row(index[itemgetter(*q)(perms[y])] for q in perms)
-                getters[y] = itemgetter(*rows[y])
-            else:
-                rows[y] = as_row(getters[s](rows[x]))
-    return rows
-
-
-def _product_table(mul_a, mul_b):
-    """Direct product of two tables; (a, b) sits at a * |B| + b.  Row
-    (a1, b1) joins, block by block, the block of ids of a1*a2 permuted by
-    row b1 of B, as window rows are joined, so list rows take their entries
-    from one shared list of ints, not a new int each.  Only ``Prod`` specs
-    come here; abelian factor lists are windowed."""
-    na, nb = len(mul_a), len(mul_b)
-    n = na * nb
-    as_row = _row_type(n)
-    ids = as_row(range(n))
-    blocks = [ids[a * nb:(a + 1) * nb] for a in range(na)]
-    rows = [None] * n
-    for b1, mrb in enumerate(mul_b):
-        permuted = [as_row(map(block.__getitem__, mrb)) for block in blocks]
-        for a1, mra in enumerate(mul_a):
-            rows[a1 * nb + b1] = _join(as_row, map(permuted.__getitem__, mra))
-    return rows
 
 
 def _product_powers(ga: Group, gb: Group, x: int) -> list[int]:
@@ -363,7 +294,7 @@ def parse_group_spec(spec: str):
     Grammar (exact, case-sensitive): Z<n>, Ab[d1,...,dk], D<2n>,
     GDih[d1,...,dk], Dic<n>, Q<2^k> (k >= 3), S<n>/A<n> (n <= 7),
     Prod(spec,spec), cayley:<path>.  Results: ("window", ds, z) for
-    ``_window_table`` (Q<2^k> is Dic<2^(k-2)>), ("perm", k, even),
+    ``_window_right`` (Q<2^k> is Dic<2^(k-2)>), ("perm", k, even),
     ("prod", left, right) with both factor specs validated, and
     ("cayley", path).
     """
@@ -441,10 +372,34 @@ def _order(tree) -> int:
 
 
 def _build_table(tree):
+    """The table of a parsed spec, filled along ``_walk`` of its product
+    x*s: mixed-radix digits, composed permutations (p*q is p after q), or
+    (a, b) at a*|B| + b over the factors' tables.  A generator's row is
+    the product, every other row(x*s) is row(x) permuted by row(s), as
+    (x*s)*t = x*(s*t).  Each entry is read from one row of ids or from an
+    earlier row, so list rows share one int per id."""
     kind, *args = tree
-    if kind == "prod":  # construct_group caches the factors, so none is rebuilt
-        return _product_table(*(construct_group(spec).mul for spec in args))
-    return (_window_table if kind == "window" else _perm_table)(*args)
+    if kind == "window":
+        right = partial(_window_right, *args)
+    elif kind == "perm":
+        perms, index = _perms(*args)
+        right = lambda x, s: index[itemgetter(*perms[s])(perms[x])]
+    else:  # construct_group caches the factors, so none is rebuilt
+        ma, mb = (construct_group(spec).mul for spec in args)
+        nb = len(mb)
+        right = lambda x, s: ma[x // nb][s // nb] * nb + mb[x % nb][s % nb]
+    n = _order(tree)
+    as_row = _row_type(n)
+    ids = as_row(range(n))
+    rows, getters = [ids] * n, {}
+    for level in _walk(n, right):
+        for y, x, s in level:
+            if x == 0:
+                rows[y] = as_row(map(ids.__getitem__, map(partial(right, y), range(n))))
+                getters[y] = itemgetter(*rows[y])
+            else:
+                rows[y] = as_row(getters[s](rows[x]))
+    return rows
 
 
 def _check_cap(n: int) -> None:
@@ -482,9 +437,8 @@ def _load_cayley(path: str, label: str) -> Group:
             raise CayleyTableError(f"inverse axiom violated: element {x} has no inverse")
     _check_associative(mul)  # compares rows with lists, so before conversion
     as_row = _row_type(n)
-    if as_row is list:  # entries share one int per id, as in a built table
-        as_row = lambda row, ids=list(range(n)): list(map(ids.__getitem__, row))
-    return Group([as_row(row) for row in mul], label)
+    ids = as_row(range(n))  # entries share one int per id, as in a built table
+    return Group([as_row(map(ids.__getitem__, row)) for row in mul], label)
 
 
 def _check_associative(mul: list[list[int]]) -> None:

@@ -89,11 +89,10 @@ def test_family_axioms():
 
 # sha256 of the rows of each multiplication table, one line per row with
 # entries separated by spaces, first 16 hex digits, as the tables were
-# built before abelian groups became iterated products of cyclic tables,
-# before permutation tables were filled along a generator walk and before
-# one window builder took over the abelian, dihedral and dicyclic tables; the
-# digest reads entries, so it holds for every row type: bytes up to order
-# 256 (S5, Q16, ...), lists up to 1024 (S6, A6), array('H') above (S7, A7)
+# built by one builder per family, before every family's table was filled
+# along the one generator walk; the digest reads entries, so it holds for
+# every row type: bytes up to order 256 (S5, Q16, ...), lists up to 1024
+# (S6, A6), array('H') above (S7, A7)
 TABLE_DIGESTS = {
     "Z12": "47c124f452e0a7c6",
     "Ab[1,4]": "c710ff76c54d89b9",
@@ -113,9 +112,9 @@ TABLE_DIGESTS = {
     "S7": "89ac9edd277254d9",
     "Prod(S3,Q8)": "4c2eecd13e5c8d82",
     "Prod(Z3,Prod(Z2,S3))": "95576f877e16c1f6",
-    # each window shape in the array band, then two tables with many small
-    # windows per row; D5040 (4af8223740d35af5) is left out, as its digest
-    # alone takes over a second
+    # each windowed family in the array band, then two factor lists with
+    # small last factors; D5040 (4af8223740d35af5) is left out, as its table
+    # and digest take about two seconds (CI checks it at the order cap)
     "D1200": "b56a35247ba4f661",
     "Dic300": "ede08fea63ba9c6c",
     "Ab[2,600]": "73674cf5fc63b238",
@@ -160,7 +159,7 @@ def test_window_table_matches_oracle():
             digits = itertools.product(*map(range, ds))
             zs = [z for z, a in enumerate(digits) if all(2 * x % d == 0 for x, d in zip(a, ds))]
             for z in [None, *zs]:
-                table = groups._window_table(ds, z)
+                table = groups._build_table(("window", ds, z))
                 assert [list(row) for row in table] == window_table_brute(ds, z), (ds, z)
 
 
@@ -360,23 +359,40 @@ def test_catalog_lists_its_abelian_groups_first():
 
 
 def test_product_reuses_cached_factor_tables(monkeypatch):
-    # tables are built on the first read of mul, so the factor's table is
+    # tables are built on the first read of mul, so the factors' tables are
     # read before counting, and the product's only when construction is done
     spec = "Prod(Z3,Prod(Z2,S3))"
+    construct_group("Z3").mul
     construct_group("Prod(Z2,S3)").mul
     monkeypatch.delitem(groups._group_cache, spec, raising=False)
     calls = []
-    product_table = groups._product_table
+    build_table = groups._build_table
 
-    def counted(mul_a, mul_b):
-        calls.append((len(mul_a), len(mul_b)))
-        return product_table(mul_a, mul_b)
+    def counted(tree):
+        calls.append(tree)
+        return build_table(tree)
 
-    monkeypatch.setattr(groups, "_product_table", counted)
+    monkeypatch.setattr(groups, "_build_table", counted)
     g = construct_group(spec)
     assert calls == []
     assert _table_digest(g.mul) == TABLE_DIGESTS[spec]
-    assert calls == [(3, 12)]
+    assert calls == [("prod", "Z3", "Prod(Z2,S3)")]
+
+
+def test_product_tables_match_their_factors(tmp_path):
+    # (a, b)(c, d) = (ac, bd) with (a, b) at a*|B| + b, entry by entry, in
+    # the byte and list bands, over a nested product and a cayley: factor
+    path = tmp_path / "dic3.json"
+    path.write_text(json.dumps({"n": 12, "mul": [list(r) for r in construct_group("Dic3").mul]}))
+    with patch.dict(groups._group_cache):
+        for spec in ("Prod(S3,Q8)", "Prod(Z3,S5)", "Prod(Z2,Prod(Z3,D8))",
+                     f"Prod(cayley:{path},Z4)"):
+            _, left, right = parse_group_spec(spec)
+            ma, mb = construct_group(left).mul, construct_group(right).mul
+            na, nb = len(ma), len(mb)
+            expected = [[ma[a][c] * nb + mb[b][d] for c in range(na) for d in range(nb)]
+                        for a in range(na) for b in range(nb)]
+            assert [list(row) for row in construct_group(spec).mul] == expected, spec
 
 
 def test_isomorphism_walks_each_group_once(monkeypatch):
@@ -394,6 +410,7 @@ def test_isomorphism_walks_each_group_once(monkeypatch):
                            ("GDih[3,6]", "Prod(Z2,GDih[3,3])", True),
                            ("D8", "Q8", False), ("Dic3", "Prod(Z3,Z4)", False)):
         g, h = construct_group(a), construct_group(b)
+        g.mul, h.mul  # reading a table first builds it, along a walk of its own
         calls.clear()
         assert are_isomorphic(g, h) == expected, (a, b)
         assert calls == [g.n, g.n], (a, b)

@@ -94,7 +94,11 @@ def _bits(mask: int) -> list[int]:
 # ── pattern constructors ─────────────────────────────────────────────────────
 
 def complete_graph(n: int) -> SimpleGraph:
-    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    """K_n: each row is every vertex but the row's own."""
+    gr = SimpleGraph(n)
+    full = (1 << n) - 1
+    gr.adj = [full ^ (1 << v) for v in range(n)]
+    return gr
 
 
 def complete_bipartite(s: int, t: int) -> SimpleGraph:

@@ -7,8 +7,9 @@ that deduplicates up to isomorphism and is flagged complete when its size
 reaches the known group count.  The identity always sits at identifier 0.
 
 Each family walks its cyclic subgroups, all that the power graph reads,
-by its own arithmetic, so its table is built on the first read of ``mul``:
-by a product, the conjugacy classes or the isomorphism search.
+by its own arithmetic, once per class, and the group keeps the walk, so
+its table is built on the first read of ``mul``: by a product, the
+conjugacy classes or the isomorphism search.
 One builder fills every table along the greedy-generator walk
 (``_walk``), the only closure under multiplication: a generator's row
 from the family's product, every other row as row(x*s) = row(x)
@@ -31,6 +32,10 @@ from operator import add, itemgetter
 from .numtheory import factorize
 
 ORDER_CAP = 5040
+# One int object per id, which every group's ``inv`` and class members
+# share: Python caches the ints only up to 256, and without this each
+# group of higher order would hold n ints of its own.
+_IDS = tuple(range(ORDER_CAP))
 
 # The number of groups of each order up to isomorphism, indexed by order
 # (Besche, Eick & O'Brien, IJAC 12, 2002; OEIS A000001).  A catalog that
@@ -78,10 +83,19 @@ class Group:
     when their classes are comparable, so each class is a clique of twins.
     A member x of a class is adjacent to the rest of <x> and to the
     generators of every larger cyclic subgroup containing x, which gives
-    the class its degree.
+    the class its degree.  x^t generates <x^gcd(t, |x|)>, so the classes
+    inside <x> are those of x^d for the divisors d of |x|.
+
+    The group keeps what the walk found: the powers of each class's least
+    member r in power order, in one flat row with an offset per class, and
+    per element x its class and the exponent e with x = r^e.  These rows
+    are ``bytes`` up to order 256 and ``array('H')`` above; the offsets
+    are ``array('I')``.  ``cyclic_subgroup`` reads them, so a product
+    reads its factors' powers without walking them again.
     """
 
-    __slots__ = ("n", "label", "_mul", "_powers", "inv", "orders", "cyclic_classes")
+    __slots__ = ("n", "label", "_mul", "_flat", "_starts", "_class", "_exponent",
+                 "inv", "orders", "cyclic_classes")
 
     def __init__(self, mul, label: str, n: int | None = None, powers=None):
         n = n or len(mul)
@@ -89,33 +103,44 @@ class Group:
             raise ValueError("empty multiplication table")
         self.n = n
         self.label = label
-        self._mul, self._powers = mul, powers
+        self._mul = mul
+        walk = powers or partial(_table_powers, mul)
         orders = [0] * n
         inv = [0] * n
         class_of = [-1] * n
-        subgroups: list[list[int]] = []
+        exponent = [0] * n
+        flat: list[int] = []
+        starts = [0]
         members: list[tuple[int, ...]] = []
         for x in range(n):
             if class_of[x] != -1:
                 continue
-            powers = self.cyclic_subgroup(x)
-            k = len(powers)
-            gens = [j for j in range(k) if gcd(j, k) == 1]
-            for j in gens:
-                y = powers[j]
-                class_of[y] = len(members)
+            powers = walk(x)
+            k, i = len(powers), len(members)
+            units = _units(k)
+            gens = [_IDS[powers[j]] for j in units]
+            # j and k - j are units together, so gens[-1 - u] inverts gens[u]
+            for j, y, y_inv in zip(units, gens, reversed(gens)):
+                class_of[y] = i
+                exponent[y] = j
                 orders[y] = k
-                inv[y] = powers[-j]
-            subgroups.append(powers)
-            members.append(tuple(sorted(powers[j] for j in gens)))
+                inv[y] = y_inv
+            members.append(tuple(sorted(gens)))
+            flat += powers
+            starts.append(len(flat))
         comparable = [0] * len(members)
-        degree = [len(powers) - 1 for powers in subgroups]
-        for i, powers in enumerate(subgroups):
-            for j in {class_of[y] for y in powers}:
+        degree = [b - a - 1 for a, b in zip(starts, starts[1:])]
+        for i, cl in enumerate(members):
+            a, k = starts[i], starts[i + 1] - starts[i]
+            for d in _divisors(k):
+                j = class_of[flat[a + d % k]]
                 comparable[i] |= 1 << j
                 comparable[j] |= 1 << i
                 if j != i:
-                    degree[j] += len(members[i])
+                    degree[j] += len(cl)
+        as_row = bytes if n <= 256 else partial(array, "H")
+        self._flat, self._starts = as_row(flat), array("I", starts)
+        self._class, self._exponent = as_row(class_of), as_row(exponent)
         self.orders = tuple(orders)
         self.inv = tuple(inv)
         self.cyclic_classes = tuple(map(CyclicClass, members, comparable, degree))
@@ -129,19 +154,44 @@ class Group:
 
     def cyclic_subgroup(self, x: int) -> list[int]:
         """Members of <x> in power order starting at the identity."""
-        if self._powers is not None:
-            return self._powers(x)
-        members = [0]
-        acc = x
-        while acc != 0:
-            if len(members) == self.n:
-                raise ValueError(f"powers of element {x} never reach the identity")
-            members.append(acc)
-            acc = self.mul[acc][x]
-        return members
+        flat, a, k, e = self._locate(x)
+        return [flat[a + e * t % k] for t in range(k)]
+
+    def _locate(self, x: int):
+        """Where the walk keeps <x>: the flat row, the offset and order of
+        x's class there, and the exponent e with x = r^e, so that x^t is
+        the entry at offset + e*t mod order."""
+        i = self._class[x]
+        a = self._starts[i]
+        return self._flat, a, self._starts[i + 1] - a, self._exponent[x]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Group({self.label!r}, n={self.n})"
+
+
+def _table_powers(mul, x: int) -> list[int]:
+    """Members of <x> in power order, walked along the table mul."""
+    members = [0]
+    acc = x
+    while acc != 0:
+        if len(members) == len(mul):
+            raise ValueError(f"powers of element {x} never reach the identity")
+        members.append(acc)
+        acc = mul[acc][x]
+    return members
+
+
+@lru_cache(maxsize=None)
+def _units(k: int) -> array:
+    """The j in 0..k-1 with gcd(j, k) = 1, ascending: the exponents of the
+    generators of a cyclic group of order k, two bytes each."""
+    return array("H", (j for j in range(k) if gcd(j, k) == 1))
+
+
+@lru_cache(maxsize=None)
+def _divisors(k: int) -> tuple[int, ...]:
+    """The divisors of k, ascending."""
+    return tuple(d for d in range(1, k + 1) if k % d == 0)
 
 
 def involutions(g: Group) -> set[int]:
@@ -264,9 +314,11 @@ def _perm_powers(k: int, even: bool, x: int) -> list[int]:
 
 
 def _product_powers(ga: Group, gb: Group, x: int) -> list[int]:
-    """Powers in ga x gb, componentwise from the factors' powers."""
-    pa, pb = ga.cyclic_subgroup(x // gb.n), gb.cyclic_subgroup(x % gb.n)
-    return [pa[t % len(pa)] * gb.n + pb[t % len(pb)] for t in range(lcm(len(pa), len(pb)))]
+    """Powers in ga x gb, componentwise from the rows the factors keep, in
+    one pass, so a nested product walks no factor again."""
+    nb = gb.n
+    (fa, a, ka, ea), (fb, b, kb, eb) = ga._locate(x // nb), gb._locate(x % nb)
+    return [fa[a + ea * t % ka] * nb + fb[b + eb * t % kb] for t in range(lcm(ka, kb))]
 
 
 # ── spec grammar ─────────────────────────────────────────────────────────────

@@ -6,9 +6,11 @@ rows, plus a brute-force twin), the inverse-pairing near-perfect matching
 for odd group orders, path compression into alternating (x, x^-1) shape,
 extraction of a path cover from a perfect matching, and the reverse
 construction that assembles a perfect matching from such a cover.  The
-three-way equivalence checker ties them together per group: it builds the
-power graph once and hands it to every step, so the path functions take
-the graph as an argument and check their inputs against it.
+three-way equivalence checker ties them together per group: it answers
+"no" from the cyclic classes when removing the identity leaves more than
+one odd component, and otherwise builds the power graph once and hands it
+to every step, so the path functions take the graph as an argument and
+check their inputs against it.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
     relabels only the members of the blossom's bases, and a scan masks out
     the inner vertices and the popped vertex's own blossom, which it would
     pass over anyway: D5040's dense rotation rows then cost one mask each,
-    not one step per neighbour.
+    not one step per neighbour.  An exposed vertex with no live neighbour
+    starts no search: it cannot begin an augmenting path, and no live row
+    holds it, so no later scan reaches it.
     """
     n, adj = gr.n, gr.adj
     match = [-1] * n
@@ -184,7 +188,7 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
         alive &= ~tree  # a Hungarian tree: retired without resetting its labels
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v] & alive:
             try_augment(v)
     return Matching.from_edges(
         (v, match[v]) for v in range(n) if match[v] > v)
@@ -404,16 +408,47 @@ class Theorem44Report:
     cover: PathCover | None
 
 
+def _odd_components_without_identity(g: Group) -> int:
+    """The number of odd components of the power graph of g less the
+    identity, read from the cyclic classes: every class but the
+    identity's, joined when comparable, each weighing its size."""
+    classes = g.cyclic_classes
+    unseen = (1 << len(classes)) - 2  # the identity's class is class 0
+    odd = 0
+    while unseen:
+        component = frontier = unseen & -unseen
+        size = 0
+        while frontier:
+            reach = 0
+            for i in _bits(frontier):
+                reach |= classes[i].comparable
+                size += len(classes[i].members)
+            frontier = reach & unseen & ~component
+            component |= frontier
+        unseen &= ~component
+        odd += size & 1
+    return odd
+
+
 def check_theorem44(g: Group) -> Theorem44Report:
     """Decide matching-optimality for an even-order group and exercise the
     equivalence both ways.
 
-    Builds the power graph once and computes a maximum matching; when
-    perfect, extracts a path cover and rebuilds a perfect matching from it,
-    which raises unless the cover satisfies (iii) and the three views agree.
+    First the barrier S = {e}: by Tutte's theorem (*J. London Math. Soc.*
+    22, 1947) a graph with a perfect matching has at most |S| odd
+    components after S is removed.  The power graph less the identity has
+    |G| - 1 vertices, an odd number, so it has an odd number of odd
+    components, and more than one means there is no perfect matching.
+    Its components are read from the cyclic classes, without building the
+    power graph.  Otherwise the power graph is built once and a maximum
+    matching computed; when perfect, a path cover is extracted and a
+    perfect matching rebuilt from it, which raises unless the cover
+    satisfies (iii) and the three views agree.
     """
     if g.n % 2:
         raise ValueError("the equivalence applies to even group orders")
+    if _odd_components_without_identity(g) > 1:
+        return Theorem44Report(False, None, None)
     gr = power_graph(g).graph
     mm = maximum_matching(gr)
     if not mm.is_perfect(g.n):

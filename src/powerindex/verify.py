@@ -148,9 +148,9 @@ def suite_theta_kn(max_n: int | None = None) -> VerificationReport:
     def search_instances():
         for n in range(2, search_bound + 1):
             target = theta_complete(n)
+            kn = complete_graph(n)
             first = next((m for m in range(n, target + 1)
-                          if embeds(complete_graph(n),
-                                    construct_group(f"Z{m}")) is not None), None)
+                          if embeds(kn, construct_group(f"Z{m}")) is not None), None)
             # first is the least order that hosts K_n, so first == target
             # also proves that no order from n to target - 1 does
             yield first == target, f"n={n}: search={first}, formula={target}"
@@ -331,7 +331,8 @@ def suite_thm44(max_n: int | None = None) -> VerificationReport:
         _claim("thm44-equivalence",
                f"perfect matching, path cover extraction, and the rebuilt "
                f"matching agree for every even-order group <= {bound}; "
-               f"negative cases rest on exact maximum matching",
+               f"negative cases rest on the barrier {{e}} or on exact "
+               f"maximum matching",
                equivalence_instances()),
     )
     return VerificationReport("thm44", claims)

@@ -113,6 +113,24 @@ def brute_max_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
     return best(0)
 
 
+def odd_components_brute(gr: SimpleGraph, removed: int) -> int:
+    """Odd components of gr less one vertex, by a search over its rows."""
+    unseen = set(range(gr.n)) - {removed}
+    odd = 0
+    while unseen:
+        stack = [unseen.pop()]
+        size = 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            for w in list(unseen):
+                if gr.adj[v] >> w & 1:
+                    unseen.remove(w)
+                    stack.append(w)
+        odd += size % 2
+    return odd
+
+
 def power_graph_edges_brute(group) -> set[frozenset[int]]:
     """Power-graph edge set computed the slow way: x and y are adjacent iff
     some explicit power of x equals y or vice versa."""

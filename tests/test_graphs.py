@@ -4,6 +4,7 @@ edgelist/JSON/DOT serialization formats."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -38,6 +39,10 @@ def test_complete_graph():
     assert not is_complete(empty_graph(3))
     assert is_complete(empty_graph(0))
     assert is_complete(complete_graph(1))
+    for n in range(7):  # rows are filled directly, so check them against the pairs
+        g = complete_graph(n)
+        assert g.edges() == list(itertools.combinations(range(n), 2))
+        assert g.degrees() == [n - 1] * n
 
 
 def test_complete_bipartite_structure():

@@ -254,7 +254,7 @@ def test_family_powers_agree_with_the_table(tmp_path):
     path.write_text(json.dumps({"n": 12, "mul": [list(r) for r in construct_group("Dic3").mul]}))
     specs = [spec for m in range(1, 129) for spec in _candidate_specs(m)]
     specs += ["Z1680", "D600", "Dic300", "S6", "A5", "Ab[2,2,4,60]", "Q64",
-              "Prod(S3,Q8)", f"Prod(cayley:{path},Z4)"]
+              "Prod(S3,Q8)", "Prod(Z2,Prod(Z3,D8))", f"Prod(cayley:{path},Z4)"]
     with patch.dict(groups._group_cache):
         for spec in specs:
             g = construct_group(spec)

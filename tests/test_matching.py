@@ -26,7 +26,7 @@ from powerindex.matching import (
     path_cover_from_matching,
 )
 
-from oracles import brute_max_matching_size, cycle_graph
+from oracles import brute_max_matching_size, cycle_graph, odd_components_brute
 
 
 def test_matching_type_invariants():
@@ -369,7 +369,9 @@ def test_check_theorem44():
 
 
 def test_check_theorem44_across_catalog():
-    for m in range(2, 41, 2):
+    # every "no", whether the identity barrier or the blossom gave it, is
+    # checked against a maximum matching of the power graph
+    for m in range(2, 129, 2):
         for g in catalog_for_order(m).groups:
             report = check_theorem44(g)
             gr = power_graph(g).graph
@@ -378,7 +380,7 @@ def test_check_theorem44_across_catalog():
                 assert report.cover.endpoint_union == involutions(g) | {0}
 
 
-def test_check_theorem44_builds_one_power_graph(monkeypatch):
+def _count_power_graphs(monkeypatch) -> list[str]:
     calls = []
 
     def counted(g):
@@ -386,13 +388,33 @@ def test_check_theorem44_builds_one_power_graph(monkeypatch):
         return power_graph(g)
 
     monkeypatch.setattr(matching, "power_graph", counted)
+    return calls
+
+
+def test_check_theorem44_builds_one_power_graph(monkeypatch):
+    # at most one build: the identity barrier decides, with no power graph
+    # built, exactly when the power graph less the identity has more than
+    # one odd component; otherwise the power graph is built once
+    calls = _count_power_graphs(monkeypatch)
     outcomes = set()
     for m in range(2, 33, 2):
         for g in catalog_for_order(m).groups:
             calls.clear()
-            outcomes.add(check_theorem44(g).optimal)
-            assert calls == [g.label], g.label
-    assert outcomes == {True, False}
+            report = check_theorem44(g)
+            barrier = odd_components_brute(power_graph(g).graph, 0) > 1
+            assert calls == ([] if barrier else [g.label]), g.label
+            assert not (barrier and report.optimal), g.label
+            outcomes.add((barrier, report.optimal))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("spec", ["D5040", "S7", "GDih[2,1260]"])
+def test_identity_barrier_agrees_with_the_blossom_at_the_cap(spec, monkeypatch):
+    g = construct_group(spec)
+    calls = _count_power_graphs(monkeypatch)
+    assert check_theorem44(g) == matching.Theorem44Report(False, None, None)
+    assert calls == []
+    assert not maximum_matching(power_graph(g).graph).is_perfect(g.n)
 
 
 def test_serialization_shapes():

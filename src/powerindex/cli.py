@@ -5,34 +5,44 @@ Exit codes follow one convention throughout: 0 for success or a true
 answer, 1 for a false or negative answer, 2 for usage errors including
 malformed group specs and graph files.  Progress and warnings go to
 stderr so stdout stays stable for piping and diffing.
+
+The library modules are bound lazily: each runs on its first attribute
+access, so a cold call runs only the modules its answer reads (chi and
+rho run numtheory alone).  Importing this module still puts every one of
+them in sys.modules, which the benchmark's tracer (perfbench/spans.py)
+reads to find the functions it wraps.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 
-from .embedding import (
-    embeds,
-    is_kst_power_critical,
-    is_power_critical,
-    kst_optimal_groups,
-    theta_complete,
-    theta_search,
-)
-from .graphs import (
-    FORMATS,
-    GraphFormatError,
-    SimpleGraph,
-    parse_graph,
-    power_graph,
-    serialize_graph,
-)
-from .groups import construct_group
-from .matching import check_theorem44, maximum_matching, path_cover_from_matching
-from .numtheory import chi, rho
-from .verify import SUITE_NAMES, verify_suite
+from . import FORMATS, SUITE_NAMES
+
+
+def _lazy(name: str):
+    """The submodule `name` of this package, run on first attribute access
+    (the importlib documentation's lazy-import recipe); a module already
+    imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    loader.exec_module(module)
+    return module
+
+
+clique, numtheory, groups, graphs, matching, embedding, verify = map(
+    _lazy, ("clique", "numtheory", "groups", "graphs", "matching",
+            "embedding", "verify"))
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
@@ -42,35 +52,36 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
         print(human)
 
 
-def _load_graph(path: str) -> SimpleGraph:
+def _load_graph(path: str) -> graphs.SimpleGraph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
-    return parse_graph(text)
+        raise graphs.GraphFormatError(
+            f"cannot read graph file {path}: {exc}") from exc
+    return graphs.parse_graph(text)
 
 
 def _cmd_chi(args: argparse.Namespace) -> int:
-    value = chi(args.n)
+    value = numtheory.chi(args.n)
     _emit(args, {"n": args.n, "chi": value}, str(value))
     return 0
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
-    value = rho(args.n)
+    value = numtheory.rho(args.n)
     _emit(args, {"n": args.n, "rho": value}, str(value))
     return 0
 
 
 def _cmd_theta_complete(args: argparse.Namespace) -> int:
-    value = theta_complete(args.n)
+    value = embedding.theta_complete(args.n)
     _emit(args, {"n": args.n, "theta": value}, str(value))
     return 0
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    res = theta_search(_load_graph(args.graphfile), args.max_order)
+    res = embedding.theta_search(_load_graph(args.graphfile), args.max_order)
     if res is None:
         _emit(args, {"found": False, "max_order": args.max_order},
               f"no embedding found up to order {args.max_order}")
@@ -91,7 +102,7 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     pattern = _load_graph(args.graphfile)
-    res = is_power_critical(pattern)
+    res = embedding.is_power_critical(pattern)
     if not res.exact:
         print("note: the deciding catalog is incomplete; the answer is "
               "relative to the catalog", file=sys.stderr)
@@ -105,23 +116,24 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_kst(args: argparse.Namespace) -> int:
-    answer = is_kst_power_critical(args.s, args.t)
+    answer = embedding.is_kst_power_critical(args.s, args.t)
     _emit(args, {"s": args.s, "t": args.t, "critical": answer},
           "true" if answer else "false")
     return 0 if answer else 1
 
 
 def _cmd_power_graph(args: argparse.Namespace) -> int:
-    g = construct_group(args.spec)
-    pg = power_graph(g)
-    sys.stdout.write(serialize_graph(pg.graph, args.format))
+    g = groups.construct_group(args.spec)
+    gr = graphs.power_graph(g).graph
+    gr.labels = [str(k) for k in g.orders]  # DOT labels: element orders
+    sys.stdout.write(graphs.serialize_graph(gr, args.format))
     return 0
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     pattern = _load_graph(args.graphfile)
-    g = construct_group(args.spec)
-    witness = embeds(pattern, g)
+    g = groups.construct_group(args.spec)
+    witness = embedding.embeds(pattern, g)
     if witness is None:
         _emit(args, {"found": False, "group": g.label}, "no embedding")
         return 1
@@ -131,8 +143,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_matching(args: argparse.Namespace) -> int:
-    g = construct_group(args.spec)
-    m = maximum_matching(power_graph(g).graph)
+    g = groups.construct_group(args.spec)
+    m = matching.maximum_matching(graphs.power_graph(g).graph)
     perfect, near_perfect = m.is_perfect(g.n), m.is_near_perfect(g.n)
     kind = ("perfect" if perfect
             else "near-perfect" if near_perfect else "maximum")
@@ -144,22 +156,22 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 
 def _cmd_path_cover(args: argparse.Namespace) -> int:
-    g = construct_group(args.spec)
-    gr = power_graph(g).graph
-    m = maximum_matching(gr)
+    g = groups.construct_group(args.spec)
+    gr = graphs.power_graph(g).graph
+    m = matching.maximum_matching(gr)
     if not m.is_perfect(g.n):
         _emit(args, {"found": False, "group": g.label},
               "no perfect matching, so no inverse-closed path cover")
         return 1
-    cover = path_cover_from_matching(g, gr, m)
+    cover = matching.path_cover_from_matching(g, gr, m)
     _emit(args, {"found": True, "group": g.label, "paths": cover.to_json()},
           "\n".join(" ".join(map(str, p.vertices)) for p in cover.paths))
     return 0
 
 
 def _cmd_check_thm44(args: argparse.Namespace) -> int:
-    g = construct_group(args.spec)
-    report = check_theorem44(g)
+    g = groups.construct_group(args.spec)
+    report = matching.check_theorem44(g)
     payload = {
         "group": g.label,
         "optimal": report.optimal,
@@ -171,7 +183,7 @@ def _cmd_check_thm44(args: argparse.Namespace) -> int:
 
 
 def _cmd_kst_optimal(args: argparse.Namespace) -> int:
-    res = kst_optimal_groups(args.s, args.t)
+    res = embedding.kst_optimal_groups(args.s, args.t)
     if not res.catalog_complete:
         print("note: the catalog at this order is incomplete; the list may "
               "miss groups outside the built-in families", file=sys.stderr)
@@ -183,7 +195,7 @@ def _cmd_kst_optimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_suite(args.suite, args.max)
+    report = verify.verify_suite(args.suite, args.max)
     lines = [f"PASS {c.claim} ({c.instances} instances)" if c.passed
              else f"FAIL {c.claim} ({c.instances} instances): {c.counterexample}"
              for c in report.claims]
@@ -193,9 +205,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan_theta_rho(args: argparse.Namespace) -> int:
+    if args.nmax < 2:
+        raise ValueError(f"table bound must be >= 2, got {args.nmax}")
     rows, lines = [], []
     for n in range(2, args.nmax + 1):
-        theta, r = theta_complete(n), rho(n)
+        theta, r = embedding.theta_complete(n), numtheory.rho(n)
         rows.append({"n": n, "theta": theta, "rho": r, "equal": theta == r})
         lines.append(f"{n}\t{theta}\t{'=' if theta == r else '<'}\t{r}")
     _emit(args, {"max": args.nmax, "rows": rows}, "\n".join(lines))

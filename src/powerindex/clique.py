@@ -26,13 +26,12 @@ witness is reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import SimpleGraph
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(NamedTuple):
     """Maximum clique size together with one witness (sorted vertex ids)."""
 
     size: int

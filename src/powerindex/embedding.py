@@ -20,8 +20,8 @@ catalog-relative index search for arbitrary patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .graphs import SimpleGraph, _bits, complete_bipartite
 from .groups import (
@@ -35,8 +35,7 @@ from .groups import (
 from .numtheory import chi, classify_order, is_prime_power, rho, totient
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(NamedTuple):
     """Injective vertex map carrying every pattern edge to a host edge."""
 
     mapping: tuple[tuple[int, int], ...]
@@ -46,29 +45,25 @@ class EmbeddingWitness:
         return dict(self.mapping)
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(NamedTuple):
     value: int
     witness: EmbeddingWitness
     exact: bool
     searched_orders: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CriticalityResult:
+class CriticalityResult(NamedTuple):
     critical: bool
     exact: bool
     witness: EmbeddingWitness | None
 
 
-@dataclass(frozen=True)
-class KstOptimalResult:
+class KstOptimalResult(NamedTuple):
     groups: tuple[Group, ...]
     catalog_complete: bool
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     degree: int
     holds: bool
 

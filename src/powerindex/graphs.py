@@ -15,9 +15,9 @@ with each class blown up to a clique.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from . import FORMATS
 from .groups import ORDER_CAP
 
 
@@ -127,8 +127,7 @@ def apex_one_factor(n: int) -> SimpleGraph:
 
 # ── power graphs ─────────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class PowerGraph:
+class PowerGraph(NamedTuple):
     """Power graph of a finite group: vertex i is group element i."""
 
     graph: SimpleGraph
@@ -144,7 +143,7 @@ def power_graph(g) -> PowerGraph:
     comparable with it (itself included), and a member's row is that mask
     without its own bit.  That is one OR per comparable pair of classes.
     The graph is rebuilt on each call from the classes, which the Group
-    holds.  Vertex labels record element orders for DOT export.
+    holds.
     """
     classes = g.cyclic_classes
     member_masks = [sum(1 << x for x in cl.members) for cl in classes]
@@ -157,14 +156,10 @@ def power_graph(g) -> PowerGraph:
             adj[x] = mask ^ (1 << x)
     gr = SimpleGraph(g.n)
     gr.adj = adj
-    gr.labels = [str(k) for k in g.orders]
     return PowerGraph(gr, g.label)
 
 
 # ── text formats ─────────────────────────────────────────────────────────────
-
-FORMATS = ("edgelist", "json", "dot")
-
 
 def serialize_graph(gr: SimpleGraph, fmt: str = "edgelist") -> str:
     """Render a graph as edgelist, JSON, or DOT text."""

@@ -24,10 +24,10 @@ import itertools
 import json
 import re
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import factorial, gcd, isqrt, lcm, prod
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .numtheory import factorize
 
@@ -56,8 +56,7 @@ class CayleyTableError(ValueError):
     """External Cayley table violating the group axioms."""
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicClass:
+class CyclicClass(NamedTuple):
     """The elements generating one cyclic subgroup, with the classes whose
     subgroups contain it or lie inside it (itself included), as a bitmask
     over class indices, and the power-graph degree each member has."""
@@ -619,8 +618,7 @@ def are_isomorphic(g1: Group, g2: Group) -> bool:
 
 # ── per-order catalog ────────────────────────────────────────────────────────
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     groups: tuple[Group, ...]
     complete: bool
 

@@ -16,15 +16,14 @@ check their inputs against it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import SimpleGraph, _bits, power_graph
 from .groups import Group, involutions
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of pairwise disjoint edges; pairs stored as (u, v) with u < v."""
 
     edges: tuple[tuple[int, int], ...]
@@ -59,8 +58,7 @@ class Matching:
         return [[u, v] for u, v in self.edges]
 
 
-@dataclass(frozen=True)
-class InversePath:
+class InversePath(NamedTuple):
     """An ordered simple path; inverse-closedness is relative to a group."""
 
     vertices: tuple[int, ...]
@@ -73,8 +71,7 @@ class InversePath:
         return list(self.vertices)
 
 
-@dataclass(frozen=True)
-class PathCover:
+class PathCover(NamedTuple):
     paths: tuple[InversePath, ...]
 
     @property
@@ -401,8 +398,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
     return result
 
 
-@dataclass(frozen=True)
-class Theorem44Report:
+class Theorem44Report(NamedTuple):
     optimal: bool
     matching: Matching | None
     cover: PathCover | None

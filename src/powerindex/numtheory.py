@@ -10,11 +10,10 @@ it worth a name here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Ordered prime factorization: ((p1, r1), (p2, r2), ...) with p1 < p2 < ..."""
 
     factors: tuple[tuple[int, int], ...]
@@ -24,8 +23,7 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-@dataclass(frozen=True)
-class OrderClass:
+class OrderClass(NamedTuple):
     """Classification flags for a group order n."""
 
     is_prime_power: bool

@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
+from . import SUITE_NAMES
 from .clique import clique_number
 from .embedding import (
     check_embedding,
@@ -49,11 +50,8 @@ from .numtheory import (
     totient,
 )
 
-SUITE_NAMES = ("chi", "theta-kn", "kst", "matching", "thm44", "degrees", "all")
 
-
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim: str
     statement: str
     instances: int
@@ -61,8 +59,7 @@ class ClaimResult:
     counterexample: str | None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     claims: tuple[ClaimResult, ...]
 
@@ -71,7 +68,8 @@ class VerificationReport:
         return all(c.passed for c in self.claims)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "claims": [c._asdict() for c in self.claims],
+                "passed": self.passed}
 
 
 def _claim(claim_id: str, statement: str, instances) -> ClaimResult:

@@ -11,6 +11,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest.mock import patch
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import empty_graph, is_embedding, power_graph_edges_brute
+import powerindex
 from powerindex import groups
 from powerindex.cli import main
 from powerindex.graphs import (
@@ -430,6 +434,10 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["suite"] == "degrees"
     assert payload["passed"] is True
+    assert set(payload) == {"suite", "claims", "passed"}
+    assert payload["claims"] and all(
+        set(c) == {"claim", "statement", "instances", "passed", "counterexample"}
+        for c in payload["claims"])
 
 
 def test_verify_unknown_suite(capsys):
@@ -472,6 +480,14 @@ def test_scan_theta_rho(capsys):
     assert rows[20] == {"n": 20, "theta": 22, "rho": 23, "equal": False}
 
 
+@pytest.mark.parametrize("bound", ["1", "0", "-5"])
+def test_scan_theta_rho_rejects_bound_below_two(capsys, bound):
+    code, out, err = run(capsys, "scan-theta-rho", bound)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: table bound must be >= 2, got {bound}\n"
+
+
 def test_scan_theta_rho_human_columns(capsys):
     code, out, _ = run(capsys, "scan-theta-rho", "10")
     assert code == 0
@@ -491,3 +507,92 @@ def test_stdout_byte_stable(capsys, k6_file):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+# Runs main(argv) in a fresh interpreter, prints after the command's own
+# output the modules whose code ran (a lazily bound module that was never
+# read is still a LazyLoader stub, not a plain module), and exits with
+# main's code.
+_COLD_CALL = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from powerindex.cli import main
+code = main(sys.argv[2:])
+print(json.dumps(sorted(name for name, m in sys.modules.items()
+                        if name not in before and type(m) is types.ModuleType)))
+sys.exit(code)
+"""
+
+
+def _cold_call(*argv):
+    """Exit code, stdout lines and modules run by one cold call."""
+    src = os.path.dirname(os.path.dirname(powerindex.__file__))
+    done = subprocess.run([sys.executable, "-c", _COLD_CALL, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout, done.stderr  # main raised before the module list
+    *lines, modules = done.stdout.splitlines()
+    return done.returncode, lines, set(json.loads(modules))
+
+
+def test_cold_calls_run_only_what_they_read():
+    code, _, loaded = _cold_call("chi", "36")
+    assert code == 0
+    assert {m for m in loaded if m.split(".")[0] == "powerindex"} == {
+        "powerindex", "powerindex.cli", "powerindex.numtheory"}
+    assert "dataclasses" not in loaded
+    code, _, loaded = _cold_call("check-thm44", "Z12")
+    assert code == 0
+    assert "powerindex.matching" in loaded and "dataclasses" not in loaded
+    assert not loaded & {"powerindex.verify", "powerindex.embedding",
+                         "powerindex.clique"}
+
+
+_NAMES_AND_RUNS = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import powerindex.cli
+print(json.dumps({name: type(m) is types.ModuleType
+                  for name, m in sys.modules.items()
+                  if name.split(".")[0] == "powerindex"}))
+"""
+
+
+def test_importing_the_cli_names_every_module_and_runs_none():
+    src = os.path.dirname(os.path.dirname(powerindex.__file__))
+    done = subprocess.run([sys.executable, "-c", _NAMES_AND_RUNS, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    ran = json.loads(done.stdout)
+    assert set(ran) == {"powerindex", "powerindex.cli"} | {
+        f"powerindex.{m}" for m in ("clique", "numtheory", "groups", "graphs",
+                                    "matching", "embedding", "verify")}
+    assert {name for name, has_run in ran.items() if has_run} == {
+        "powerindex", "powerindex.cli"}
+
+
+# The README's commands that need no file, each with its exit code and
+# lines of its documented output.
+README_COLD_CALLS = [
+    ("chi 36", 0, ["27"]),
+    ("rho 14", 0, ["16"]),
+    ("theta-complete 34", 0, ["37"]),
+    ("critical-kst 6 6", 1, ["false"]),
+    ("kst-optimal 2 6", 0, ["Z8", "Q8"]),
+    ("matching Z8", 0, ["perfect matching of size 4", "6 7"]),
+    ("path-cover Z12", 0, ["0 1 11 9 3 5 7 6"]),
+    ("check-thm44 Q16 --json", 0, [
+        '{"cover": [[0, 1, 7, 6, 2, 3, 5, 4]], "group": "Q16", "matching": '
+        '[[0, 1], [2, 3], [4, 5], [6, 7], [8, 12], [9, 13], [10, 14], '
+        '[11, 15]], "optimal": true}']),
+    ("power-graph Q8 --format dot", 0,
+     ["graph {", '  1 [label="4"];', "  5 -- 7;", "}"]),
+    ("scan-theta-rho 100", 0, ["14\t16\t=\t16", "91\t93\t<\t97"]),
+]
+
+
+@pytest.mark.parametrize("command,want_code,want_lines", README_COLD_CALLS,
+                         ids=[c[0] for c in README_COLD_CALLS])
+def test_readme_commands_in_a_cold_process(command, want_code, want_lines):
+    code, lines, _ = _cold_call(*command.split())
+    assert code == want_code
+    assert [line for line in want_lines if line not in lines] == []

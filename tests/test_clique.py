@@ -86,6 +86,8 @@ def test_witness_deterministic():
     first = clique_number(gr)
     second = clique_number(gr)
     assert first == second
+    with pytest.raises(AttributeError):
+        first.size = 0
     # two disjoint triangles: ties resolve the same way every run
     twin = SimpleGraph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     assert clique_number(twin).witness == (0, 1, 2)

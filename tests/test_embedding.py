@@ -66,6 +66,8 @@ def test_embeds_witness_fields():
     assert w.group_ref == "Z4"
     assert sorted(w.as_dict()) == [0, 1, 2]
     assert all(isinstance(x, int) for x in w.as_dict().values())
+    with pytest.raises(AttributeError):
+        w.group_ref = "Z5"
 
 
 def test_embeds_agrees_with_brute_force():

@@ -8,6 +8,7 @@ import itertools
 
 import pytest
 
+from powerindex.cli import main
 from powerindex.graphs import (
     FORMATS,
     GraphFormatError,
@@ -127,11 +128,14 @@ SERIALIZED_DIGESTS = {
 }
 
 
-def test_power_graph_serialization_unchanged():
+def test_power_graph_serialization_unchanged(capsys):
+    # the DOT text is the command line's, which labels each vertex by the
+    # order of its element
     assert list(SERIALIZED_DIGESTS) == POWER_GRAPH_SPECS
     for spec, digest in SERIALIZED_DIGESTS.items():
         gr = power_graph(construct_group(spec)).graph
-        text = serialize_graph(gr, "edgelist") + serialize_graph(gr, "dot")
+        assert main(["power-graph", spec, "--format", "dot"]) == 0
+        text = serialize_graph(gr, "edgelist") + capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, spec
 
 
@@ -144,6 +148,8 @@ def test_power_graph_identity_and_inverses():
         for x in range(g.n):
             if g.orders[x] >= 3:
                 assert gr.has_edge(x, g.inv[x]), (spec, x)
+    with pytest.raises(AttributeError):
+        power_graph(g).group_ref = "Z1"
 
 
 def test_cyclic_prime_power_graphs_are_complete():
@@ -218,14 +224,13 @@ def test_serialization_is_stable():
         assert serialize_graph(gr, fmt) == serialize_graph(gr, fmt)
 
 
-def test_dot_output():
+def test_dot_output(capsys):
     gr = cycle_graph(4)
     text = serialize_graph(gr, "dot")
     assert text.startswith("graph {") and text.rstrip().endswith("}")
     assert text.count("--") == gr.n_edges
-    labeled = power_graph(construct_group("Z4")).graph
-    out = serialize_graph(labeled, "dot")
-    assert 'label="4"' in out  # generators of Z4 have order 4
+    assert main(["power-graph", "Z4", "--format", "dot"]) == 0
+    assert 'label="4"' in capsys.readouterr().out  # generators of Z4 have order 4
 
 
 def test_serialize_unknown_format():

@@ -244,6 +244,10 @@ def test_cyclic_subgroup_and_generation():
     assert powers[:2] == [0, rotation] and len(powers) == 4
     assert d8.cyclic_subgroup(powers[2]) == [0, powers[2]]
     assert d8.cyclic_subgroup(d8.inv[rotation]) == [0, powers[3], powers[2], rotation]
+    with pytest.raises(AttributeError):
+        z12.cyclic_classes[1].degree = 0
+    with pytest.raises(AttributeError):
+        catalog_for_order(8).complete = False
 
 
 def test_family_powers_agree_with_the_table(tmp_path):

@@ -36,6 +36,8 @@ def test_matching_type_invariants():
     assert m.size == 2 and m.is_perfect(4) and not m.is_perfect(5)
     assert m.is_near_perfect(5)
     assert m.to_json() == [[0, 2], [1, 3]]
+    with pytest.raises(AttributeError):
+        m.edges = ()
     with pytest.raises(ValueError):
         Matching.from_edges([(0, 1), (1, 2)])
     with pytest.raises(ValueError):

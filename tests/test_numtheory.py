@@ -30,6 +30,8 @@ def test_factorize_reconstructs():
         assert math.prod(p**r for p, r in f.factors) == n
         assert list(f.primes) == sorted(f.primes)
         assert all(r >= 1 for _, r in f.factors)
+    with pytest.raises(AttributeError):
+        f.factors = ()
 
 
 def test_factorize_rejects_nonpositive():

@@ -32,6 +32,8 @@ SMALL_BOUNDS = {
 def test_claim_runner_counts_and_passes():
     res = _claim("demo", "statement", iter([(True, "a"), (True, "b")]))
     assert res == ClaimResult("demo", "statement", 2, True, None)
+    with pytest.raises(AttributeError):
+        res.passed = False
 
 
 def test_claim_runner_stops_at_first_counterexample():

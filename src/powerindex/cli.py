@@ -7,10 +7,11 @@ malformed group specs and graph files.  Progress and warnings go to
 stderr so stdout stays stable for piping and diffing.
 
 The library modules are bound lazily: each runs on its first attribute
-access, so a cold call runs only the modules its answer reads (chi and
-rho run numtheory alone).  Importing this module still puts every one of
-them in sys.modules, which the benchmark's tracer (perfbench/spans.py)
-reads to find the functions it wraps.
+access, so a cold call runs only the modules its answer reads (chi, rho,
+theta-complete, critical-kst and scan-theta-rho run numtheory alone).
+Importing this module still puts every one of them in sys.modules, which
+the benchmark's tracer (perfbench/spans.py) reads to find the functions
+it wraps.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_theta_complete(args: argparse.Namespace) -> int:
-    value = embedding.theta_complete(args.n)
+    value = numtheory.theta_complete(args.n)
     _emit(args, {"n": args.n, "theta": value}, str(value))
     return 0
 
@@ -116,7 +117,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_kst(args: argparse.Namespace) -> int:
-    answer = embedding.is_kst_power_critical(args.s, args.t)
+    answer = numtheory.is_kst_power_critical(args.s, args.t)
     _emit(args, {"s": args.s, "t": args.t, "critical": answer},
           "true" if answer else "false")
     return 0 if answer else 1
@@ -177,6 +178,7 @@ def _cmd_check_thm44(args: argparse.Namespace) -> int:
         "optimal": report.optimal,
         "matching": report.matching.to_json() if report.matching else None,
         "cover": report.cover.to_json() if report.cover else None,
+        "barrier": list(report.barrier) if report.barrier else None,
     }
     _emit(args, payload, "true" if report.optimal else "false")
     return 0 if report.optimal else 1
@@ -209,7 +211,7 @@ def _cmd_scan_theta_rho(args: argparse.Namespace) -> int:
         raise ValueError(f"table bound must be >= 2, got {args.nmax}")
     rows, lines = [], []
     for n in range(2, args.nmax + 1):
-        theta, r = embedding.theta_complete(n), numtheory.rho(n)
+        theta, r = numtheory.theta_complete(n), numtheory.rho(n)
         rows.append({"n": n, "theta": theta, "rho": r, "equal": theta == r})
         lines.append(f"{n}\t{theta}\t{'=' if theta == r else '<'}\t{r}")
     _emit(args, {"max": args.nmax, "rows": rows}, "\n".join(lines))

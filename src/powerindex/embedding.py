@@ -12,10 +12,12 @@ Prosser & Trimble, ICGT 2020), and lifts a class assignment to elements
 at the end.  Twins take non-decreasing class indices, and so do the
 least members of twin classes that a pattern automorphism swaps whole;
 an exhausted search is still a proof that no embedding exists (the
-argument is in ``embeds``).  On top of the oracle sit the closed-form
-index for complete graphs, the bipartite criticality criterion with its
-constructive embedding, optimal-group classification, and
-catalog-relative index search for arbitrary patterns.
+argument is in ``embeds``).  On top of the oracle sit the constructive
+embedding behind the bipartite criticality criterion, optimal-group
+classification, and catalog-relative index search for arbitrary
+patterns.  The closed forms (``theta_complete``, ``theta_kn_equals_nplus1``,
+``is_kst_power_critical``) read only integers, so they live in
+``numtheory``; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,7 +34,14 @@ from .groups import (
     is_cyclic,
     is_generalized_quaternion,
 )
-from .numtheory import chi, classify_order, is_prime_power, rho, totient
+from .numtheory import (  # the closed forms are re-exported from here
+    is_kst_power_critical,
+    is_prime_power,
+    rho,
+    theta_complete,
+    theta_kn_equals_nplus1,
+    totient,
+)
 
 
 class EmbeddingWitness(NamedTuple):
@@ -237,42 +246,7 @@ def _assign_classes(pattern: SimpleGraph,
     return None
 
 
-# ── complete graphs ──────────────────────────────────────────────────────────
-
-def theta_complete(n: int) -> int:
-    """Power index of the complete graph on n vertices: the least k whose
-    cyclic power graph holds a k-clique of size n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    k = n
-    while chi(k) < n:
-        k += 1
-    return k
-
-
-def theta_kn_equals_nplus1(n: int) -> bool:
-    """Whether the complete graph on n vertices has power index n + 1.
-
-    Defined for n that is not a prime power; holds exactly when n + 1 is a
-    prime power or twice an odd prime.  Verify's theta-kn-plus-one claim
-    checks the closed form against the scanning definition.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if is_prime_power(n):
-        raise ValueError(f"{n} is a prime power; the criterion excludes it")
-    oc = classify_order(n + 1)
-    return oc.is_prime_power or oc.is_twice_odd_prime
-
-
 # ── complete bipartite graphs ────────────────────────────────────────────────
-
-def is_kst_power_critical(s: int, t: int) -> bool:
-    """Totient criterion for the complete bipartite graph on s + t vertices."""
-    if not 2 <= s <= t:
-        raise ValueError("requires 2 <= s <= t (stars are always critical)")
-    return totient(s + t) >= s - 1
-
 
 def embed_kst_cyclic(s: int, t: int) -> EmbeddingWitness:
     """Constructive embedding of a critical K_{s,t} into the cyclic group

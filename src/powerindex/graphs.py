@@ -102,10 +102,14 @@ def complete_graph(n: int) -> SimpleGraph:
 
 
 def complete_bipartite(s: int, t: int) -> SimpleGraph:
-    """K_{s,t} with side U = {0..s-1} and side W = {s..s+t-1}."""
+    """K_{s,t} with side U = {0..s-1} and side W = {s..s+t-1}: each row is
+    the other side."""
     if s < 0 or t < 0:
         raise ValueError("side sizes must be >= 0")
-    return SimpleGraph(s + t, [(u, s + w) for u in range(s) for w in range(t)])
+    gr = SimpleGraph(s + t)
+    side_u, side_w = (1 << s) - 1, ((1 << t) - 1) << s
+    gr.adj = [side_w] * s + [side_u] * t
+    return gr
 
 
 def star(t: int) -> SimpleGraph:
@@ -114,15 +118,19 @@ def star(t: int) -> SimpleGraph:
 
 
 def one_factor(n: int) -> SimpleGraph:
-    """nK_2: n disjoint edges (2i, 2i+1)."""
-    return SimpleGraph(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
+    """nK_2: n disjoint edges (2i, 2i+1); each row is the vertex's mate."""
+    gr = SimpleGraph(2 * n)
+    gr.adj = [1 << (v ^ 1) for v in range(2 * n)]
+    return gr
 
 
 def apex_one_factor(n: int) -> SimpleGraph:
-    """K_1 + nK_2: apex vertex 0 joined to every vertex of nK_2."""
-    edges = [(2 * i + 1, 2 * i + 2) for i in range(n)]
-    edges += [(0, v) for v in range(1, 2 * n + 1)]
-    return SimpleGraph(2 * n + 1, edges)
+    """K_1 + nK_2: apex vertex 0 joined to every vertex of nK_2, whose
+    edges are (2i+1, 2i+2)."""
+    gr = SimpleGraph(2 * n + 1)
+    gr.adj = [(1 << (2 * n + 1)) - 2] + [
+        1 | 1 << (v + 1 if v % 2 else v - 1) for v in range(1, 2 * n + 1)]
+    return gr
 
 
 # ── power graphs ─────────────────────────────────────────────────────────────

@@ -104,15 +104,18 @@ class Group:
         self.label = label
         self._mul = mul
         walk = powers or partial(_table_powers, mul)
+        # above order 256 the rows are typed from the start, so the walk
+        # keeps no int object per element or per power while it runs
+        small = n <= 256
         orders = [0] * n
         inv = [0] * n
-        class_of = [-1] * n
-        exponent = [0] * n
-        flat: list[int] = []
+        class_of = bytearray(n) if small else array("H", bytes(2 * n))
+        exponent = class_of[:]
+        flat = [] if small else array("H")
         starts = [0]
         members: list[tuple[int, ...]] = []
         for x in range(n):
-            if class_of[x] != -1:
+            if orders[x]:
                 continue
             powers = walk(x)
             k, i = len(powers), len(members)
@@ -125,7 +128,7 @@ class Group:
                 orders[y] = k
                 inv[y] = y_inv
             members.append(tuple(sorted(gens)))
-            flat += powers
+            flat.extend(powers)
             starts.append(len(flat))
         comparable = [0] * len(members)
         degree = [b - a - 1 for a, b in zip(starts, starts[1:])]
@@ -137,9 +140,10 @@ class Group:
                 comparable[j] |= 1 << i
                 if j != i:
                     degree[j] += len(cl)
-        as_row = bytes if n <= 256 else partial(array, "H")
-        self._flat, self._starts = as_row(flat), array("I", starts)
-        self._class, self._exponent = as_row(class_of), as_row(exponent)
+        if small:
+            flat, class_of, exponent = bytes(flat), bytes(class_of), bytes(exponent)
+        self._flat, self._starts = flat, array("I", starts)
+        self._class, self._exponent = class_of, exponent
         self.orders = tuple(orders)
         self.inv = tuple(inv)
         self.cyclic_classes = tuple(map(CyclicClass, members, comparable, degree))

@@ -5,12 +5,21 @@ maximum matching on general graphs (blossom contraction on the bitset
 rows, plus a brute-force twin), the inverse-pairing near-perfect matching
 for odd group orders, path compression into alternating (x, x^-1) shape,
 extraction of a path cover from a perfect matching, and the reverse
-construction that assembles a perfect matching from such a cover.  The
-three-way equivalence checker ties them together per group: it answers
-"no" from the cyclic classes when removing the identity leaves more than
-one odd component, and otherwise builds the power graph once and hands it
-to every step, so the path functions take the graph as an argument and
-check their inputs against it.
+construction that assembles a perfect matching from such a cover.
+
+The Theorem 4.4 check builds no power graph.  It answers "no" from the
+cyclic classes when removing the identity leaves more than one odd
+component.  Otherwise it runs the blossom on a gadget over the classes:
+one node per class of size 1 (the identity and the involutions, T), and
+for every other class i of size s_i, min(s_i/2, |T|/2 - 1) pairs of
+nodes, each pair joined; nodes of distinct comparable classes are
+adjacent.  The power graph has a perfect matching exactly when the gadget
+does (the proof is in ``check_theorem44``).  A "yes" is lifted to an
+inverse-closed path cover and checked by rebuilding a perfect matching
+from it, with edges read from class comparability (``ClassEdges``).  A
+"no" carries a barrier S, a union of classes taken from the gadget's
+Hungarian trees, and ``barrier_surplus`` recounts the odd components of
+the power graph less S from the classes.
 """
 
 from __future__ import annotations
@@ -19,35 +28,38 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _bits, power_graph
+from .graphs import SimpleGraph, _bits
 from .groups import Group, involutions
 
 
 class Matching(NamedTuple):
-    """A set of pairwise disjoint edges; pairs stored as (u, v) with u < v."""
+    """A set of pairwise disjoint edges; pairs stored as (u, v) with u < v.
+    The matched vertices (``covered``) are read from the edges."""
 
     edges: tuple[tuple[int, int], ...]
-    covered: frozenset[int]
 
     @classmethod
     def from_edges(cls, edges) -> "Matching":
-        canon = sorted((min(u, v), max(u, v)) for u, v in edges)
-        covered: set[int] = set()
-        for u, v in canon:
-            if u == v or u in covered or v in covered:
-                raise ValueError(f"edges are not pairwise disjoint at ({u}, {v})")
-            covered.update((u, v))
-        return cls(tuple(canon), frozenset(covered))
+        canon = sorted((u, v) if u < v else (v, u) for u, v in edges)
+        ends = sorted(x for e in canon for x in e)
+        for a, b in zip(ends, ends[1:]):
+            if a == b:
+                raise ValueError(f"edges are not pairwise disjoint at vertex {a}")
+        return cls(tuple(canon))
+
+    @property
+    def covered(self) -> frozenset[int]:
+        return frozenset(x for e in self.edges for x in e)
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
     def is_perfect(self, n: int) -> bool:
-        return len(self.covered) == n
+        return 2 * len(self.edges) == n
 
     def is_near_perfect(self, n: int) -> bool:
-        return len(self.covered) == n - 1
+        return 2 * len(self.edges) == n - 1
 
     def validate(self, gr: SimpleGraph) -> None:
         for u, v in self.edges:
@@ -88,7 +100,16 @@ class PathCover(NamedTuple):
 # ── matching engines ─────────────────────────────────────────────────────────
 
 def maximum_matching(gr: SimpleGraph) -> Matching:
-    """Exact maximum-cardinality matching via blossom contraction.
+    """Exact maximum-cardinality matching via blossom contraction (see
+    ``_blossom``)."""
+    match, _ = _blossom(gr)
+    return Matching.from_edges(
+        (v, match[v]) for v in range(gr.n) if match[v] > v)
+
+
+def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
+    """A maximum matching as a partner row (-1 for exposed), and a Tutte
+    barrier as the bitmask of the inner vertices of the Hungarian trees.
 
     Deterministic: searches start from vertices in ascending order and scan
     each popped vertex's bitset row in ascending order.  A failed search
@@ -102,6 +123,16 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
     not one step per neighbour.  An exposed vertex with no live neighbour
     starts no search: it cannot begin an augmenting path, and no live row
     holds it, so no later scan reaches it.
+
+    The barrier B attains the deficiency: odd(G - B) - |B| is the number of
+    exposed vertices.  When a tree retires, each live neighbour of one of
+    its outer vertices is inner in it or in the same blossom, and the
+    vertices retired before were not live.  So an outer vertex has
+    neighbours only in its own blossom and in B, each outer blossom (odd)
+    is a component of G - B, and a tree has one more outer blossom than it
+    has inner vertices.  An exposed vertex that starts no search has only
+    neighbours in B, else an augmenting path would exist, so it is a
+    component of its own.
     """
     n, adj = gr.n, gr.adj
     match = [-1] * n
@@ -113,6 +144,7 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
             match[v], match[w] = w, v
             free ^= 1 << v | 1 << w
     parent, base, used = [-1] * n, list(range(n)), [False] * n
+    barrier = 0
 
     def lca(a: int, b: int) -> int:
         seen = set()
@@ -136,7 +168,7 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
             v = parent[match[v]]
 
     def try_augment(root: int) -> None:
-        nonlocal alive
+        nonlocal alive, barrier
         tree = 1 << root  # the vertices this search marks used or gives a parent
         inner = 0  # the vertices with a parent that no blossom has absorbed
         bits: dict[int, int] = {}  # base -> its vertices as a bitmask, once more than itself
@@ -183,12 +215,12 @@ def maximum_matching(gr: SimpleGraph) -> Matching:
                     used[match[to]] = True
                     queue.append(match[to])
         alive &= ~tree  # a Hungarian tree: retired without resetting its labels
+        barrier |= inner
 
     for v in range(n):
         if match[v] == -1 and adj[v] & alive:
             try_augment(v)
-    return Matching.from_edges(
-        (v, match[v]) for v in range(n) if match[v] > v)
+    return match, barrier
 
 
 def maximum_matching_bruteforce(gr: SimpleGraph) -> Matching:
@@ -385,12 +417,15 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
         edges.extend((chain[j], chain[j + 1]) for j in range(0, len(chain), 2))
 
     covered = {x for e in edges for x in e}
-    leftover = [x for x in range(g.n) if x not in covered]
-    for x in leftover:
-        if g.inv[x] == x:
-            raise ValueError(f"leftover vertex {x} is self-inverse")
-        if x < g.inv[x]:
-            edges.append((x, g.inv[x]))
+    inv = g.inv
+    for cl in g.cyclic_classes:  # the group's own int objects, not new ones
+        for x in cl.members:
+            if x in covered:
+                continue
+            if x == inv[x]:
+                raise ValueError(f"leftover vertex {x} is self-inverse")
+            if x < inv[x]:
+                edges.append((x, inv[x]))
     result = Matching.from_edges(edges)
     result.validate(gr)
     if not result.is_perfect(g.n):
@@ -399,17 +434,36 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
 
 
 class Theorem44Report(NamedTuple):
+    """The answer with its certificate: for "yes" a perfect matching and the
+    path cover it was rebuilt from, for "no" a barrier S, printed as the
+    least members of its cyclic classes, with more than |S| odd components
+    in the power graph less S."""
+
     optimal: bool
     matching: Matching | None
     cover: PathCover | None
+    barrier: tuple[int, ...] | None
 
 
-def _odd_components_without_identity(g: Group) -> int:
+class ClassEdges(NamedTuple):
+    """The power graph of g read from its cyclic classes: distinct x and y
+    are adjacent exactly when their classes are comparable.  It stands in
+    for the graph wherever only ``has_edge`` is read, so a certificate is
+    checked without building a row."""
+
+    g: Group
+
+    def has_edge(self, u: int, v: int) -> bool:
+        of = self.g._class
+        return u != v and bool(self.g.cyclic_classes[of[u]].comparable >> of[v] & 1)
+
+
+def _odd_components_without(g: Group, removed: int) -> int:
     """The number of odd components of the power graph of g less the
-    identity, read from the cyclic classes: every class but the
-    identity's, joined when comparable, each weighing its size."""
+    classes in the bitmask ``removed``, read from the cyclic classes:
+    every other class, joined when comparable, each weighing its size."""
     classes = g.cyclic_classes
-    unseen = (1 << len(classes)) - 2  # the identity's class is class 0
+    unseen = (1 << len(classes)) - 1 & ~removed
     odd = 0
     while unseen:
         component = frontier = unseen & -unseen
@@ -426,29 +480,149 @@ def _odd_components_without_identity(g: Group) -> int:
     return odd
 
 
-def check_theorem44(g: Group) -> Theorem44Report:
-    """Decide matching-optimality for an even-order group and exercise the
-    equivalence both ways.
+def barrier_surplus(g: Group, barrier) -> int:
+    """odd(P - S) - |S| for the power graph P of g and S the union of the
+    cyclic classes of the elements in ``barrier``.  By Tutte's theorem
+    (*J. London Math. Soc.* 22, 1947) a positive value proves that P has no
+    perfect matching."""
+    removed = 0
+    for x in barrier:
+        removed |= 1 << g._class[x]
+    size = sum(len(g.cyclic_classes[i].members) for i in _bits(removed))
+    return _odd_components_without(g, removed) - size
 
-    First the barrier S = {e}: by Tutte's theorem (*J. London Math. Soc.*
-    22, 1947) a graph with a perfect matching has at most |S| odd
-    components after S is removed.  The power graph less the identity has
-    |G| - 1 vertices, an odd number, so it has an odd number of odd
-    components, and more than one means there is no perfect matching.
-    Its components are read from the cyclic classes, without building the
-    power graph.  Otherwise the power graph is built once and a maximum
-    matching computed; when perfect, a path cover is extracted and a
-    perfect matching rebuilt from it, which raises unless the cover
-    satisfies (iii) and the three views agree.
+
+def _gadget(g: Group) -> tuple[SimpleGraph, list[int], int]:
+    """The class-level matching problem of ``check_theorem44``: the gadget,
+    the class of each node, and the index of the first end node.  The pass
+    nodes come first, in pairs (2k, 2k + 1), so a pass node's pair mate is
+    its index xor 1, and the greedy start of the blossom matches every pair
+    to itself.  The end nodes follow, one per class of size 1, the
+    identity's first."""
+    classes = g.cyclic_classes
+    ends = [i for i, cl in enumerate(classes) if len(cl.members) == 1]
+    passes = len(ends) // 2 - 1
+    node_class = []
+    for i, cl in enumerate(classes):
+        if len(cl.members) > 1:
+            node_class += [i] * (2 * min(len(cl.members) // 2, passes))
+    first_end = len(node_class)
+    node_class += ends
+    nodes = [0] * len(classes)
+    for u, i in enumerate(node_class):
+        nodes[i] |= 1 << u
+    present = sum(1 << i for i, mask in enumerate(nodes) if mask)
+    rows = {}
+    for i in _bits(present):
+        row = 0
+        for j in _bits(classes[i].comparable & present & ~(1 << i)):
+            row |= nodes[j]
+        rows[i] = row
+    gadget = SimpleGraph(len(node_class))
+    gadget.adj = [rows[i] | (1 << (u ^ 1) if u < first_end else 0)
+                  for u, i in enumerate(node_class)]
+    return gadget, node_class, first_end
+
+
+def _lift(g: Group, node_class: list[int], first_end: int,
+          match: list[int]) -> PathCover:
+    """An inverse-closed path cover from a perfect matching of the gadget.
+
+    From each end node not yet reached, in order, the walk alternates
+    matched edges with pair edges until it lands on another end node.  The
+    classes it passes are loop-erased, so each is passed once, and a pass
+    through class i takes the next unused pair x, x^-1 of it.  The
+    identity's walk is cut to its end edge."""
+    classes = g.cyclic_classes
+    spare: dict[int, list[tuple[int, int]]] = {}
+    reached: set[int] = set()
+    paths = []
+    for t in range(first_end, len(node_class)):
+        if t in reached:
+            continue
+        passed: list[int] = []
+        u = match[t]
+        while u < first_end:
+            i = node_class[u]
+            if i in passed:
+                del passed[passed.index(i) + 1:]
+            else:
+                passed.append(i)
+            u = match[u ^ 1]
+        reached.add(u)
+        vertices = [classes[node_class[t]].members[0]]
+        for i in passed if t > first_end else ():
+            if i not in spare:
+                spare[i] = [(x, g.inv[x]) for x in reversed(classes[i].members)
+                            if x < g.inv[x]]
+            vertices += spare[i].pop()
+        vertices.append(classes[node_class[u]].members[0])
+        paths.append(InversePath(tuple(vertices)))
+    return PathCover(tuple(paths))
+
+
+def check_theorem44(g: Group) -> Theorem44Report:
+    """Decide whether the power graph P of an even-order group g has a
+    perfect matching, which Theorem 4.4 ties to an inverse-closed path
+    cover, and return a checked certificate either way.  No power graph
+    is built.
+
+    First the barrier S = {e}: P - e has |G| - 1 vertices, an odd number,
+    so it has an odd number of odd components, and more than one means
+    there is no perfect matching.  Its components are read from the cyclic
+    classes.
+
+    Otherwise the answer comes from a gadget on the classes.  Each class is
+    a clique of twins, inverse-closed, of size phi(k) for elements of order
+    k, so the classes of size 1 are T = {e} plus the involutions; |T| is even
+    as |G| is.  The gadget has one end node per T class and, for every
+    other class i of size s_i, c_i = min(s_i/2, |T|/2 - 1) pairs of pass
+    nodes, each pair joined by an edge; nodes of distinct comparable
+    classes are adjacent.  P has a perfect matching exactly when the
+    gadget does:
+
+    - If P has one, it has a cover (iii): |T|/2 disjoint inverse-closed
+      paths whose ends are exactly T.  Project each path onto the classes
+      and erase loops; comparable classes are adjacent, so consecutive
+      classes stay comparable, and each path passes a class at most once.
+      e is comparable to every class, so e's path becomes the edge from e
+      to its other end, which passes nothing.  A class i is then passed by
+      at most |T|/2 - 1 paths, and by at most s_i/2, since each path that
+      meets it holds an inverse pair of it.  So the passes of class i fit
+      its c_i pairs, one pair each: match each end node and the second
+      node of each pass to the first node of the next pass or to the far
+      end node, and each unused pair internally.
+    - If the gadget has one, every pass pair is either matched internally
+      or has both nodes matched outside (a pass node's only neighbour in
+      its class is its mate), so matched edges and pair edges form paths
+      between the end nodes, pairing up T, besides cycles that are
+      dropped.  ``_lift`` cuts e's path to its end edge, erases loops
+      and lifts a pass through class i to an unused pair x, x^-1: there are
+      s_i/2 of them, at least the c_i passes.  The result is a cover (iii),
+      and ``matching_from_path_cover`` rebuilds a perfect matching of P from
+      it.  P and its matching are read from the classes (``ClassEdges``).
+
+    The -1 in c_i keeps the gadget small: Z_n's has two nodes.  When the
+    gadget has no perfect matching, the inner vertices of the Hungarian
+    trees of its blossom run form a barrier of the gadget, and their
+    classes give S.  That S is a barrier of P is checked, not proved: its
+    surplus is recomputed on P's classes, and a failure raises
+    AssertionError instead of returning an unchecked "no".  It held on
+    every even catalog group of order <= 512.
     """
     if g.n % 2:
         raise ValueError("the equivalence applies to even group orders")
-    if _odd_components_without_identity(g) > 1:
-        return Theorem44Report(False, None, None)
-    gr = power_graph(g).graph
-    mm = maximum_matching(gr)
-    if not mm.is_perfect(g.n):
-        return Theorem44Report(False, None, None)
-    cover = path_cover_from_matching(g, gr, mm)
-    matching_from_path_cover(g, gr, cover)
-    return Theorem44Report(True, mm, cover)
+    if barrier_surplus(g, (0,)) > 0:
+        return Theorem44Report(False, None, None, (0,))
+    gadget, node_class, first_end = _gadget(g)
+    match, inner = _blossom(gadget)
+    if -1 in match:
+        classes = g.cyclic_classes
+        barrier = tuple(sorted({classes[node_class[u]].members[0] for u in _bits(inner)}))
+        if barrier_surplus(g, barrier) <= 0:
+            raise AssertionError(f"{g.label}: the gadget's barrier {barrier} "
+                                 f"is no barrier of the power graph")
+        return Theorem44Report(False, None, None, barrier)
+    cover = _lift(g, node_class, first_end, match)
+    return Theorem44Report(True, matching_from_path_cover(g, ClassEdges(g), cover),
+                           cover, None)

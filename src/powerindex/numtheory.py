@@ -1,8 +1,10 @@
 """Integer arithmetic for power-graph computations.
 
 Covers factorization by trial division, the Euler totient, the totient
-chain sum chi, the smallest prime power rho, and order-classification
-flags.  chi(n) sums phi over the maximal divisor chain of n obtained by
+chain sum chi, the smallest prime power rho, order-classification flags,
+and the closed forms they give for patterns: the power index of K_n
+(``theta_complete``), when it is n + 1, and the totient criterion for
+K_{s,t}.  chi(n) sums phi over the maximal divisor chain of n obtained by
 repeatedly removing the least prime factor; it equals the clique number
 of the power graph of the cyclic group of order n, which is what makes
 it worth a name here.
@@ -137,3 +139,38 @@ def classify_order(n: int) -> OrderClass:
         len(f.factors) == 2 and f.factors[0] == (2, 1) and f.factors[1][1] == 1
     )
     return OrderClass(prime_power, twice_odd_prime)
+
+
+# ── closed forms for complete and complete bipartite patterns ────────────────
+
+def theta_complete(n: int) -> int:
+    """Power index of the complete graph on n vertices: the least k whose
+    cyclic power graph holds a k-clique of size n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = n
+    while chi(k) < n:
+        k += 1
+    return k
+
+
+def theta_kn_equals_nplus1(n: int) -> bool:
+    """Whether the complete graph on n vertices has power index n + 1.
+
+    Defined for n that is not a prime power; holds exactly when n + 1 is a
+    prime power or twice an odd prime.  Verify's theta-kn-plus-one claim
+    checks the closed form against the scanning definition.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if is_prime_power(n):
+        raise ValueError(f"{n} is a prime power; the criterion excludes it")
+    oc = classify_order(n + 1)
+    return oc.is_prime_power or oc.is_twice_odd_prime
+
+
+def is_kst_power_critical(s: int, t: int) -> bool:
+    """Totient criterion for the complete bipartite graph on s + t vertices."""
+    if not 2 <= s <= t:
+        raise ValueError("requires 2 <= s <= t (stars are always critical)")
+    return totient(s + t) >= s - 1

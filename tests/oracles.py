@@ -113,9 +113,10 @@ def brute_max_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
     return best(0)
 
 
-def odd_components_brute(gr: SimpleGraph, removed: int) -> int:
-    """Odd components of gr less one vertex, by a search over its rows."""
-    unseen = set(range(gr.n)) - {removed}
+def odd_components_brute(gr: SimpleGraph, removed) -> int:
+    """Odd components of gr less the vertices in removed, by a search over
+    its rows."""
+    unseen = set(range(gr.n)) - set(removed)
     odd = 0
     while unseen:
         stack = [unseen.pop()]

@@ -395,9 +395,15 @@ def test_check_thm44(capsys):
     assert payload["optimal"] is True
     assert payload["matching"] is not None
     assert payload["cover"] is not None
+    assert payload["barrier"] is None
     code, out, _ = run(capsys, "check-thm44", "D10", "--json")
     assert code == 1
     assert json.loads(out)["cover"] is None
+    assert json.loads(out)["barrier"] == [0]
+    # Ab[2,2,6] passes the identity barrier; its barrier adds a class
+    code, out, _ = run(capsys, "check-thm44", "Ab[2,2,6]", "--json")
+    assert code == 1
+    assert json.loads(out)["barrier"] == [0, 2]
     code, _, err = run(capsys, "check-thm44", "Z9")
     assert code == 2
 
@@ -536,11 +542,13 @@ def _cold_call(*argv):
 
 
 def test_cold_calls_run_only_what_they_read():
-    code, _, loaded = _cold_call("chi", "36")
-    assert code == 0
-    assert {m for m in loaded if m.split(".")[0] == "powerindex"} == {
-        "powerindex", "powerindex.cli", "powerindex.numtheory"}
-    assert "dataclasses" not in loaded
+    # the closed forms read only integers, so these run numtheory alone
+    for argv in (("chi", "36"), ("theta-complete", "10"), ("critical-kst", "4", "12")):
+        code, _, loaded = _cold_call(*argv)
+        assert code == 0, argv
+        assert {m for m in loaded if m.split(".")[0] == "powerindex"} == {
+            "powerindex", "powerindex.cli", "powerindex.numtheory"}, argv
+        assert "dataclasses" not in loaded
     code, _, loaded = _cold_call("check-thm44", "Z12")
     assert code == 0
     assert "powerindex.matching" in loaded and "dataclasses" not in loaded
@@ -581,8 +589,8 @@ README_COLD_CALLS = [
     ("matching Z8", 0, ["perfect matching of size 4", "6 7"]),
     ("path-cover Z12", 0, ["0 1 11 9 3 5 7 6"]),
     ("check-thm44 Q16 --json", 0, [
-        '{"cover": [[0, 1, 7, 6, 2, 3, 5, 4]], "group": "Q16", "matching": '
-        '[[0, 1], [2, 3], [4, 5], [6, 7], [8, 12], [9, 13], [10, 14], '
+        '{"barrier": null, "cover": [[0, 4]], "group": "Q16", "matching": '
+        '[[0, 4], [1, 7], [2, 6], [3, 5], [8, 12], [9, 13], [10, 14], '
         '[11, 15]], "optimal": true}']),
     ("power-graph Q8 --format dot", 0,
      ["graph {", '  1 [label="4"];', "  5 -- 7;", "}"]),

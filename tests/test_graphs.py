@@ -78,6 +78,22 @@ def test_one_factor_and_apex():
     assert not h.has_edge(2, 3)
 
 
+def test_pattern_rows_match_their_edge_lists():
+    # the constructors fill rows directly; the same graphs from edge lists
+    for s in range(9):
+        for t in range(9):
+            edges = [(u, s + w) for u in range(s) for w in range(t)]
+            assert complete_bipartite(s, t).adj == SimpleGraph(s + t, edges).adj, (s, t)
+        assert star(s).adj == SimpleGraph(s + 1, [(0, v) for v in range(1, s + 1)]).adj
+        pairs = [(2 * i, 2 * i + 1) for i in range(s)]
+        assert one_factor(s).adj == SimpleGraph(2 * s, pairs).adj, s
+        apex = [(2 * i + 1, 2 * i + 2) for i in range(s)]
+        apex += [(0, v) for v in range(1, 2 * s + 1)]
+        assert apex_one_factor(s).adj == SimpleGraph(2 * s + 1, apex).adj, s
+    with pytest.raises(ValueError):
+        complete_bipartite(-1, 2)
+
+
 def test_cycle_graph():
     g = cycle_graph(5)
     assert g.n_edges == 5 and g.degrees() == [2] * 5

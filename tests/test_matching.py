@@ -3,6 +3,7 @@ cover extraction, and the three-way equivalence checker."""
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 
@@ -10,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powerindex.graphs as graphs
 import powerindex.matching as matching
+import powerindex.verify as verify_module
 from powerindex.graphs import SimpleGraph, _bits, power_graph
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
+    ClassEdges,
     InversePath,
     Matching,
     PathCover,
+    barrier_surplus,
     check_theorem44,
     compress_path,
     matching_from_path_cover,
@@ -94,6 +99,16 @@ def test_retired_search_trees_keep_the_matching_maximum(gr):
     m = maximum_matching(gr)
     m.validate(gr)
     assert m.size == maximum_matching_bruteforce(gr).size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_core_with_pendants_and_odd_cycles())
+def test_inner_vertices_of_retired_trees_attain_the_deficiency(gr):
+    # Tutte-Berge: odd(G - B) - |B| is the number of exposed vertices
+    match, barrier = matching._blossom(gr)
+    exposed = match.count(-1)
+    assert exposed == gr.n - 2 * maximum_matching_bruteforce(gr).size
+    assert odd_components_brute(gr, _bits(barrier)) - barrier.bit_count() == exposed
 
 
 def test_engines_agree_on_power_graphs():
@@ -346,8 +361,9 @@ def test_matching_from_cover_rejects_bad_covers():
 def test_shortest_identity_free_paths():
     # Ab[2,6] has the involutions 3, 6 and 9.  A path from 6 to 9 with
     # fewer than 2 interior vertices fails the checks (ValueError) before
-    # assembly; 6, 8, 10, 2, 4, 11, 7, 9 is the shortest identity-free path
-    # in the covers check_theorem44 builds for the catalog up to order 64
+    # assembly.  No identity-free path in the covers check_theorem44 builds
+    # for the catalog up to order 64 is shorter than 8 vertices, as
+    # Ab[2,6]'s 3, 1, 5, 2, 4, 8, 10, 6
     g = construct_group("Ab[2,6]")
     gr = power_graph(g).graph
     for short in ((6, 9), (6, 8, 9), (6, 2, 9)):
@@ -361,18 +377,36 @@ def test_shortest_identity_free_paths():
 
 def test_check_theorem44():
     assert check_theorem44(construct_group("Z12")).optimal
+    cover = check_theorem44(construct_group("Ab[2,6]")).cover
+    assert cover.to_json() == [[0, 9], [3, 1, 5, 2, 4, 8, 10, 6]]
     report = check_theorem44(construct_group("D10"))
-    assert not report.optimal and report.matching is None and report.cover is None
+    assert report == matching.Theorem44Report(False, None, None, (0,))
     with pytest.raises(ValueError):
         check_theorem44(construct_group("Z9"))
     full = check_theorem44(construct_group("Q16"))
-    assert full.optimal and full.matching.is_perfect(16)
+    assert full.optimal and full.matching.is_perfect(16) and full.barrier is None
     assert full.cover is not None and len(full.cover.paths) == 1
 
 
+def _check_certificate(g, report, gr):
+    """The report's certificate, checked on the power graph's rows."""
+    if report.optimal:
+        assert report.barrier is None, g.label
+        assert report.matching.is_perfect(g.n), g.label
+        report.matching.validate(gr)
+        assert matching_from_path_cover(g, gr, report.cover) == report.matching
+    else:
+        assert report.matching is None and report.cover is None, g.label
+        removed = {x for lead in report.barrier
+                   for x in g.cyclic_classes[g._class[lead]].members}
+        assert all(g.cyclic_classes[g._class[lead]].members[0] == lead
+                   for lead in report.barrier), g.label
+        assert odd_components_brute(gr, removed) > len(removed), g.label
+
+
 def test_check_theorem44_across_catalog():
-    # every "no", whether the identity barrier or the blossom gave it, is
-    # checked against a maximum matching of the power graph
+    # the gadget's answer against the blossom on the whole power graph, and
+    # up to order 64 each certificate checked on the power graph's rows
     for m in range(2, 129, 2):
         for g in catalog_for_order(m).groups:
             report = check_theorem44(g)
@@ -380,6 +414,88 @@ def test_check_theorem44_across_catalog():
             assert report.optimal == maximum_matching(gr).is_perfect(g.n), g.label
             if report.optimal:
                 assert report.cover.endpoint_union == involutions(g) | {0}
+            if m <= 64:
+                _check_certificate(g, report, gr)
+
+
+# the groups at the order cap that CI checks, and the large groups of the
+# benchmark
+CAP_GROUPS = ["Z5040", "Dic1260", "Ab[2,2520]", "D5040", "S7", "GDih[2,1260]"]
+LARGE_GROUPS = ["Z1680", "D600", "Dic300", "S6", "Ab[2,2,4,60]"]
+
+
+@pytest.mark.parametrize("spec", CAP_GROUPS + LARGE_GROUPS)
+def test_check_theorem44_agrees_with_the_blossom_on_large_groups(spec):
+    g = construct_group(spec)
+    report = check_theorem44(g)
+    assert report.optimal == maximum_matching(power_graph(g).graph).is_perfect(g.n)
+    if report.optimal:
+        assert matching_from_path_cover(g, ClassEdges(g), report.cover) == report.matching
+    else:
+        assert barrier_surplus(g, report.barrier) > 0
+
+
+def test_every_no_carries_a_barrier():
+    # 70 of the 315 "no" answers up to order 128 need more than {e}
+    wider = 0
+    for m in range(2, 129, 2):
+        for g in catalog_for_order(m).groups:
+            report = check_theorem44(g)
+            if not report.optimal:
+                assert report.barrier and barrier_surplus(g, report.barrier) > 0
+                wider += report.barrier != (0,)
+    assert wider == 70
+
+
+def test_a_forged_barrier_is_rejected(monkeypatch):
+    # a yes group has no barrier at all (Tutte), and a no group's barrier
+    # stops working without one of its classes
+    z12 = construct_group("Z12")
+    leads = [cl.members[0] for cl in z12.cyclic_classes]
+    for r in range(len(leads) + 1):
+        for forged in itertools.combinations(leads, r):
+            assert barrier_surplus(z12, forged) <= 0, forged
+    g = next(g for g in catalog_for_order(24).groups
+             if check_theorem44(g).barrier not in (None, (0,)))
+    barrier = check_theorem44(g).barrier
+    assert barrier_surplus(g, barrier) > 0
+    assert barrier_surplus(g, barrier[1:]) <= 0
+    gr = power_graph(g).graph
+    removed = {x for lead in barrier[1:] for x in g.cyclic_classes[g._class[lead]].members}
+    assert odd_components_brute(gr, removed) <= len(removed)
+    # verify recounts the barrier from the report, and fails on the forged one
+    real = check_theorem44
+
+    def forged(h):
+        report = real(h)
+        return report._replace(barrier=barrier[1:]) if h.label == g.label else report
+
+    monkeypatch.setattr(verify_module, "check_theorem44", forged)
+    claim = verify_module.verify_suite("thm44", 24, progress=io.StringIO()).claims[0]
+    assert not claim.passed
+    assert claim.counterexample == f"{g.label}: the barrier does not check"
+
+
+def test_class_edges_match_the_power_graph():
+    for spec in ("Z12", "Q16", "Ab[2,6]", "D12", "S4", "Prod(Z3,D8)"):
+        g = construct_group(spec)
+        gr, edges = power_graph(g).graph, ClassEdges(g)
+        assert all(edges.has_edge(u, v) == gr.has_edge(u, v)
+                   for u in range(g.n) for v in range(g.n)), spec
+
+
+def test_a_cover_across_incomparable_classes_is_rejected():
+    # Ab[2,6]: the involution 6 and the elements of order 3 generate no
+    # nested subgroups, so a path stepping from 6 into them is no path
+    g = construct_group("Ab[2,6]")
+    edges = ClassEdges(g)
+    x = next(x for x in range(g.n) if g.orders[x] == 3)
+    assert not edges.has_edge(6, x)
+    cover = PathCover((InversePath((0, 3)), InversePath((6, x, g.inv[x], 9))))
+    with pytest.raises(ValueError, match="not adjacent"):
+        matching_from_path_cover(g, edges, cover)
+    with pytest.raises(ValueError, match="not adjacent"):
+        matching_from_path_cover(g, power_graph(g).graph, cover)
 
 
 def _count_power_graphs(monkeypatch) -> list[str]:
@@ -389,23 +505,24 @@ def _count_power_graphs(monkeypatch) -> list[str]:
         calls.append(g.label)
         return power_graph(g)
 
-    monkeypatch.setattr(matching, "power_graph", counted)
+    # both the graphs module and any name bound from it elsewhere
+    monkeypatch.setattr(graphs, "power_graph", counted)
+    monkeypatch.setattr(matching, "power_graph", counted, raising=False)
     return calls
 
 
-def test_check_theorem44_builds_one_power_graph(monkeypatch):
-    # at most one build: the identity barrier decides, with no power graph
-    # built, exactly when the power graph less the identity has more than
-    # one odd component; otherwise the power graph is built once
+def test_check_theorem44_builds_no_power_graph(monkeypatch):
+    # the identity barrier decides exactly when the power graph less the
+    # identity has more than one odd component; either way no power graph
+    # is built
     calls = _count_power_graphs(monkeypatch)
     outcomes = set()
     for m in range(2, 33, 2):
         for g in catalog_for_order(m).groups:
-            calls.clear()
             report = check_theorem44(g)
-            barrier = odd_components_brute(power_graph(g).graph, 0) > 1
-            assert calls == ([] if barrier else [g.label]), g.label
-            assert not (barrier and report.optimal), g.label
+            assert calls == [], g.label
+            barrier = odd_components_brute(power_graph(g).graph, {0}) > 1
+            assert barrier == (report.barrier == (0,)), g.label
             outcomes.add((barrier, report.optimal))
     assert outcomes == {(True, False), (False, False), (False, True)}
 
@@ -414,7 +531,7 @@ def test_check_theorem44_builds_one_power_graph(monkeypatch):
 def test_identity_barrier_agrees_with_the_blossom_at_the_cap(spec, monkeypatch):
     g = construct_group(spec)
     calls = _count_power_graphs(monkeypatch)
-    assert check_theorem44(g) == matching.Theorem44Report(False, None, None)
+    assert check_theorem44(g) == matching.Theorem44Report(False, None, None, (0,))
     assert calls == []
     assert not maximum_matching(power_graph(g).graph).is_perfect(g.n)
 

@@ -85,12 +85,12 @@ def test_chi_suite_rejects_a_bad_witness(monkeypatch, witness):
 
 
 def test_thm44_suite_fails_on_a_cover_missing_a_path(monkeypatch):
-    real = matching_module.path_cover_from_matching
+    real = matching_module._lift
 
-    def short(g, gr, m):
-        return PathCover(real(g, gr, m).paths[1:])
+    def short(g, node_class, ends, match):
+        return PathCover(real(g, node_class, ends, match).paths[1:])
 
-    monkeypatch.setattr(matching_module, "path_cover_from_matching", short)
+    monkeypatch.setattr(matching_module, "_lift", short)
     claim = verify_suite("thm44", 8, progress=io.StringIO()).claims[0]
     assert claim.claim == "thm44-equivalence"
     assert not claim.passed and claim.instances == 1

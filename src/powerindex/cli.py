@@ -165,8 +165,8 @@ def _cmd_path_cover(args: argparse.Namespace) -> int:
               "no perfect matching, so no inverse-closed path cover")
         return 1
     cover = matching.path_cover_from_matching(g, gr, m)
-    _emit(args, {"found": True, "group": g.label, "paths": cover.to_json()},
-          "\n".join(" ".join(map(str, p.vertices)) for p in cover.paths))
+    _emit(args, {"found": True, "group": g.label, "paths": cover},
+          "\n".join(" ".join(map(str, p)) for p in cover))
     return 0
 
 
@@ -177,7 +177,7 @@ def _cmd_check_thm44(args: argparse.Namespace) -> int:
         "group": g.label,
         "optimal": report.optimal,
         "matching": report.matching.to_json() if report.matching else None,
-        "cover": report.cover.to_json() if report.cover else None,
+        "cover": report.cover,
         "barrier": list(report.barrier) if report.barrier else None,
     }
     _emit(args, payload, "true" if report.optimal else "false")
@@ -186,12 +186,12 @@ def _cmd_check_thm44(args: argparse.Namespace) -> int:
 
 def _cmd_kst_optimal(args: argparse.Namespace) -> int:
     res = embedding.kst_optimal_groups(args.s, args.t)
-    if not res.catalog_complete:
+    if not res.complete:
         print("note: the catalog at this order is incomplete; the list may "
               "miss groups outside the built-in families", file=sys.stderr)
     labels = [g.label for g in res.groups]
     _emit(args, {"s": args.s, "t": args.t, "groups": labels,
-                 "catalog_complete": res.catalog_complete},
+                 "catalog_complete": res.complete},
           "\n".join(labels))
     return 0
 

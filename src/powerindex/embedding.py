@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .graphs import SimpleGraph, _bits, complete_bipartite
 from .groups import (
+    Catalog,
     CyclicClass,
     Group,
     catalog_for_order,
@@ -65,11 +66,6 @@ class CriticalityResult(NamedTuple):
     critical: bool
     exact: bool
     witness: EmbeddingWitness | None
-
-
-class KstOptimalResult(NamedTuple):
-    groups: tuple[Group, ...]
-    catalog_complete: bool
 
 
 class DegreeReport(NamedTuple):
@@ -262,10 +258,10 @@ def embed_kst_cyclic(s: int, t: int) -> EmbeddingWitness:
     return EmbeddingWitness(mapping, f"Z{n}")
 
 
-def kst_optimal_groups(s: int, t: int) -> KstOptimalResult:
+def kst_optimal_groups(s: int, t: int) -> Catalog:
     """All order-(s+t) catalog groups whose power graph hosts K_{s,t}.
 
-    Only meaningful when K_{s,t} is power-critical; the result records
+    Only meaningful when K_{s,t} is power-critical; ``complete`` records
     whether the catalog provably exhausts that order.
     """
     if not is_kst_power_critical(s, t):
@@ -273,7 +269,7 @@ def kst_optimal_groups(s: int, t: int) -> KstOptimalResult:
     pattern = complete_bipartite(s, t)
     cat = catalog_for_order(s + t)
     hits = tuple(g for g in cat.groups if embeds(pattern, g) is not None)
-    return KstOptimalResult(hits, cat.complete)
+    return Catalog(hits, cat.complete)
 
 
 # ── general patterns ─────────────────────────────────────────────────────────

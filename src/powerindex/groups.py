@@ -643,8 +643,7 @@ def abelian_types(m: int) -> list[tuple[int, ...]]:
     abelian groups of order m; the cyclic type comes first."""
     if m == 1:
         return [(1,)]
-    factors = factorize(m).factors
-    per_prime = [[(p, parts) for parts in _partitions(r)] for p, r in factors]
+    per_prime = [[(p, parts) for parts in _partitions(r)] for p, r in factorize(m)]
     types = []
     for combo in itertools.product(*per_prime):
         width = max(len(parts) for _, parts in combo)
@@ -669,9 +668,10 @@ def _candidate_specs(m: int) -> list[str]:
     if m % 2 == 0 and m >= 6:
         specs.append(f"D{m}")
         for t in abelian_types(m // 2):
-            # generalized dihedral over A + Z2 and over cyclic A duplicate
-            # products and plain dihedral groups; skip those shapes
-            if len(t) > 1 and t[0] >= 3:
+            # over A with a Z2 invariant factor GDih is Z2 x Dih(A'), which
+            # the products list as Prod(Z2,...); over a cyclic A it is D{m},
+            # whose key drops it
+            if t[0] >= 3:
                 specs.append("GDih[" + ",".join(map(str, t)) + "]")
     if m % 4 == 0 and m >= 8:
         specs.append(f"Q{m}" if m & (m - 1) == 0 else f"Dic{m // 4}")
@@ -680,17 +680,10 @@ def _candidate_specs(m: int) -> list[str]:
     for d in range(2, isqrt(m) + 1):
         if m % d == 0:
             e = m // d
-            left, right = catalog_for_order(d).groups, catalog_for_order(e).groups
-            # A catalog of order m lists Z_m and the Ab types first; they are pairwise
-            # non-isomorphic, and every abelian group of order m is one of
-            # them, so every later abelian candidate is deduplicated away.
-            # Hence its first len(abelian_types(m)) groups are exactly the
-            # abelian ones, and products of two of them are skipped here,
-            # being covered by the abelian enumeration.
-            na, nb = len(abelian_types(d)), len(abelian_types(e))
-            for ia, ga in enumerate(left):
-                first = max(ia if d == e else 0, nb if ia < na else 0)
-                specs.extend(f"Prod({ga.label},{gb.label})" for gb in right[first:])
+            # abelian and mirrored products are dropped by key, unbuilt
+            right = catalog_for_order(e).groups
+            specs.extend(f"Prod({ga.label},{gb.label})"
+                         for ga in catalog_for_order(d).groups for gb in right)
     return specs
 
 
@@ -705,7 +698,7 @@ def _factor_key(spec: str) -> tuple:
         return tuple(sorted(_factor_key(tree[1]) + _factor_key(tree[2])))
     if tree[0] != "window" or tree[2]:
         return (("spec", spec.strip()),)
-    divisors = sorted(p ** r for d in tree[1] for p, r in factorize(d).factors)
+    divisors = sorted(p ** r for d in tree[1] for p, r in factorize(d))
     if tree[2] is None:
         return tuple(("Z", q) for q in divisors)
     rest = tuple(q for q in divisors if q != 2)

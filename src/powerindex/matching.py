@@ -70,33 +70,6 @@ class Matching(NamedTuple):
         return [[u, v] for u, v in self.edges]
 
 
-class InversePath(NamedTuple):
-    """An ordered simple path; inverse-closedness is relative to a group."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def endpoints(self) -> frozenset[int]:
-        return frozenset((self.vertices[0], self.vertices[-1]))
-
-    def to_json(self) -> list[int]:
-        return list(self.vertices)
-
-
-class PathCover(NamedTuple):
-    paths: tuple[InversePath, ...]
-
-    @property
-    def endpoint_union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for p in self.paths:
-            out |= p.endpoints
-        return frozenset(out)
-
-    def to_json(self) -> list[list[int]]:
-        return [p.to_json() for p in self.paths]
-
-
 # ── matching engines ─────────────────────────────────────────────────────────
 
 def maximum_matching(gr: SimpleGraph) -> Matching:
@@ -289,7 +262,7 @@ def _check_path_in_graph(gr: SimpleGraph, vertices: tuple[int, ...]) -> None:
             raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
 
 
-def compress_path(g: Group, gr: SimpleGraph, p: InversePath) -> InversePath:
+def compress_path(g: Group, gr: SimpleGraph, u: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an inverse-closed path into alternating (x, x^-1) shape.
 
     Walks the printed index bookkeeping: keep the first vertex, repeatedly
@@ -298,7 +271,6 @@ def compress_path(g: Group, gr: SimpleGraph, p: InversePath) -> InversePath:
     must be a path of ``gr``, the power graph of g; the result visits a
     subset of its vertices, keeps both endpoints, and stays a path of ``gr``.
     """
-    u = p.vertices
     if not u:
         raise ValueError("empty path")
     _check_path_in_graph(gr, u)
@@ -323,13 +295,14 @@ def compress_path(g: Group, gr: SimpleGraph, p: InversePath) -> InversePath:
     out: list[int] = []
     for x in anchors:
         out.extend((x, g.inv[x]))
-    return InversePath(tuple(out))
+    return tuple(out)
 
 
-def path_cover_from_matching(g: Group, gr: SimpleGraph, m: Matching) -> PathCover:
+def path_cover_from_matching(g: Group, gr: SimpleGraph,
+                             m: Matching) -> tuple[tuple[int, ...], ...]:
     """Walk a perfect matching of the power graph ``gr`` of g into
-    vertex-disjoint inverse-closed paths whose endpoints are exactly the
-    involutions plus the identity.
+    vertex-disjoint inverse-closed paths, each a tuple of vertices, whose
+    endpoints are exactly the involutions plus the identity.
 
     From each unused endpoint candidate (smallest identifier first) the walk
     alternates matched edges with inverse hops until it lands back on a
@@ -360,11 +333,12 @@ def path_cover_from_matching(g: Group, gr: SimpleGraph, m: Matching) -> PathCove
             x = partner[x]
             path.append(x)
         remaining.remove(x)
-        paths.append(InversePath(tuple(path)))
-    return PathCover(tuple(paths))
+        paths.append(tuple(path))
+    return tuple(paths)
 
 
-def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matching:
+def matching_from_path_cover(g: Group, gr: SimpleGraph,
+                             cover: tuple[tuple[int, ...], ...]) -> Matching:
     """Assemble a perfect matching of the power graph ``gr`` of g from a
     path cover witnessing condition (iii): compress every identity-free
     path, take alternating edges, reduce the identity's path to a single
@@ -379,29 +353,29 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
     the path is and its ends are self-inverse, so its size is even.
     """
     ubar = involutions(g) | {0}
-    if len(c.paths) * 2 != len(ubar):
+    if len(cover) * 2 != len(ubar):
         raise ValueError(
             f"expected {len(ubar) // 2} paths for {len(ubar)} endpoint "
-            f"candidates, got {len(c.paths)}")
+            f"candidates, got {len(cover)}")
     seen: set[int] = set()
-    for p in c.paths:
-        if len(p.vertices) < 2:
-            raise ValueError(f"single-vertex path {p.vertices} not allowed")
-        _check_path_in_graph(gr, p.vertices)
-        vset = set(p.vertices)
+    for p in cover:
+        if len(p) < 2:
+            raise ValueError(f"single-vertex path {p} not allowed")
+        _check_path_in_graph(gr, p)
+        vset = set(p)
         if seen & vset:
             raise ValueError(f"paths overlap at {sorted(seen & vset)}")
         seen |= vset
         if any(g.inv[x] not in vset for x in vset):
-            raise ValueError(f"path {p.vertices} is not inverse-closed")
-    if c.endpoint_union != ubar:
+            raise ValueError(f"path {p} is not inverse-closed")
+    ends = {x for p in cover for x in (p[0], p[-1])}
+    if ends != ubar:
         raise ValueError(
-            f"path endpoints {sorted(c.endpoint_union)} do not equal the involutions "
+            f"path endpoints {sorted(ends)} do not equal the involutions "
             f"plus identity {sorted(ubar)}")
 
     edges: list[tuple[int, int]] = []
-    for p in c.paths:
-        v = p.vertices
+    for v in cover:
         if 0 in v:
             # the identity's path contributes only its endpoint edge; its
             # interior joins the inverse-paired leftovers
@@ -412,8 +386,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph, c: PathCover) -> Matchin
         interior = v[1:-1]
         if len(interior) < 2:
             raise AssertionError(f"path {v} passed the checks with fewer than 2 interior vertices")
-        compressed = compress_path(g, gr, InversePath(interior))
-        chain = (v[0],) + compressed.vertices + (v[-1],)
+        chain = (v[0],) + compress_path(g, gr, interior) + (v[-1],)
         edges.extend((chain[j], chain[j + 1]) for j in range(0, len(chain), 2))
 
     covered = {x for e in edges for x in e}
@@ -441,7 +414,7 @@ class Theorem44Report(NamedTuple):
 
     optimal: bool
     matching: Matching | None
-    cover: PathCover | None
+    cover: tuple[tuple[int, ...], ...] | None
     barrier: tuple[int, ...] | None
 
 
@@ -525,7 +498,7 @@ def _gadget(g: Group) -> tuple[SimpleGraph, list[int], int]:
 
 
 def _lift(g: Group, node_class: list[int], first_end: int,
-          match: list[int]) -> PathCover:
+          match: list[int]) -> tuple[tuple[int, ...], ...]:
     """An inverse-closed path cover from a perfect matching of the gadget.
 
     From each end node not yet reached, in order, the walk alternates
@@ -557,8 +530,8 @@ def _lift(g: Group, node_class: list[int], first_end: int,
                             if x < g.inv[x]]
             vertices += spare[i].pop()
         vertices.append(classes[node_class[u]].members[0])
-        paths.append(InversePath(tuple(vertices)))
-    return PathCover(tuple(paths))
+        paths.append(tuple(vertices))
+    return tuple(paths)
 
 
 def check_theorem44(g: Group) -> Theorem44Report:

@@ -47,9 +47,9 @@ from .matching import (
 from .numtheory import (
     chi,
     chi_table,
-    classify_order,
     factorize,
     is_prime_power,
+    is_twice_odd_prime,
     totient,
 )
 
@@ -111,7 +111,7 @@ def suite_chi(max_n: int | None = None) -> VerificationReport:
     def recursion_instances():
         table = chi_table(bound)
         for n in range(2, bound + 1):
-            p = factorize(n).primes[0]
+            p = factorize(n)[0][0]
             ok = table[n] == totient(n) + table[n // p] and table[n] == chi(n)
             yield ok, f"n={n}"
 
@@ -121,8 +121,7 @@ def suite_chi(max_n: int | None = None) -> VerificationReport:
             if not (c <= n and (c == n) == is_prime_power(n)):
                 yield False, f"n={n}: chi={c}"
                 continue
-            oc = classify_order(n)
-            yield (c == n - 1) == oc.is_twice_odd_prime, f"n={n}: chi={c}"
+            yield (c == n - 1) == is_twice_odd_prime(n), f"n={n}: chi={c}"
 
     claims = (
         _claim("chi-clique-oracle",

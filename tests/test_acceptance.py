@@ -31,7 +31,6 @@ from powerindex.graphs import (
 )
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
-    InversePath,
     compress_path,
     matching_from_path_cover,
     maximum_matching,
@@ -42,9 +41,9 @@ from powerindex.matching import (
 from powerindex.numtheory import (
     chi,
     chi_table,
-    classify_order,
     factorize,
     is_prime_power,
+    is_twice_odd_prime,
     rho,
     totient,
 )
@@ -93,11 +92,11 @@ def test_criterion_03_chi_arithmetic_sweep():
     limit = 10000
     table = chi_table(limit)
     for n in range(2, limit + 1):
-        p = factorize(n).primes[0]
+        p = factorize(n)[0][0]
         assert table[n] == totient(n) + table[n // p], n
         assert table[n] <= n, n
         assert (table[n] == n) == is_prime_power(n), n
-        assert (table[n] == n - 1) == classify_order(n).is_twice_odd_prime, n
+        assert (table[n] == n - 1) == is_twice_odd_prime(n), n
     # n = 1 sits outside the sweep: chi(1) = 1 = n yet 1 is not a prime power
     assert table[1] == 1
     _report(3, "chi recursion and both equality characterizations to 10000")
@@ -108,8 +107,7 @@ def test_criterion_04_theta_plus_one_characterization():
         if is_prime_power(n):
             continue
         closed_form = theta_kn_equals_nplus1(n)
-        succ = classify_order(n + 1)
-        assert closed_form == (succ.is_prime_power or succ.is_twice_odd_prime), n
+        assert closed_form == (is_prime_power(n + 1) or is_twice_odd_prime(n + 1)), n
     _report(4, "theta(K_n) = n+1 exactly when n+1 is a prime power or twice "
                "an odd prime, non-prime-power n to 500")
 
@@ -186,21 +184,21 @@ def test_criterion_09_path_cover_pipeline():
             ubar = involutions(g) | {0}
             cover = path_cover_from_matching(g, gr, mm)
             seen: set[int] = set()
-            for p in cover.paths:
-                assert not seen & set(p.vertices)
-                seen |= set(p.vertices)
-                for a, b in zip(p.vertices, p.vertices[1:]):
+            for p in cover:
+                assert not seen & set(p)
+                seen |= set(p)
+                for a, b in zip(p, p[1:]):
                     assert gr.has_edge(a, b)
-                assert {g.inv[v] for v in p.vertices} == set(p.vertices)
-            assert cover.endpoint_union == ubar
+                assert {g.inv[v] for v in p} == set(p)
+            assert {x for p in cover for x in (p[0], p[-1])} == ubar
             rebuilt = matching_from_path_cover(g, gr, cover)
             rebuilt.validate(gr)
             assert rebuilt.is_perfect(m)
-            for p in cover.paths:
-                if 0 in p.endpoints or len(p.vertices) < 3:
+            for p in cover:
+                if 0 in (p[0], p[-1]) or len(p) < 3:
                     continue
-                interior = p.vertices[1:-1]
-                out = compress_path(g, gr, InversePath(interior)).vertices
+                interior = p[1:-1]
+                out = compress_path(g, gr, interior)
                 assert out[0] == interior[0]
                 assert out[-1] in (interior[-1], g.inv[interior[-1]])
                 assert set(out) <= set(interior)

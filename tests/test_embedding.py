@@ -230,7 +230,7 @@ def test_embed_kst_cyclic():
 def test_kst_optimal_groups():
     res = kst_optimal_groups(2, 6)
     assert sorted(g.label for g in res.groups) == ["Q8", "Z8"]
-    assert res.catalog_complete
+    assert res.complete
 
     res = kst_optimal_groups(3, 5)
     assert [g.label for g in res.groups] == ["Z8"]
@@ -240,7 +240,7 @@ def test_kst_optimal_groups():
 
     res = kst_optimal_groups(2, 14)
     assert sorted(g.label for g in res.groups) == ["Q16", "Z16"]
-    assert not res.catalog_complete  # order 16 families are not exhaustive
+    assert not res.complete  # order 16 families are not exhaustive
 
     with pytest.raises(ValueError):
         kst_optimal_groups(6, 6)
@@ -348,7 +348,7 @@ def test_order_exact_embeddings_have_unique_prime_subgroups():
                 w = embeds(pattern, g)
                 if w is None:
                     continue
-                for p, _ in factorize(n).factors:
+                for p, _ in factorize(n):
                     if any(g.orders[x] == p for x in range(n)):
                         assert unique_subgroup_of_prime_order(g, p), (s, t, g.label)
                 if not is_prime_power(n):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import random
 
 import pytest
@@ -18,9 +19,7 @@ from powerindex.graphs import SimpleGraph, _bits, power_graph
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
     ClassEdges,
-    InversePath,
     Matching,
-    PathCover,
     barrier_surplus,
     check_theorem44,
     compress_path,
@@ -181,22 +180,19 @@ def test_near_perfect_matching_odd():
 
 def test_compress_path_fixed_point():
     z5 = construct_group("Z5")
-    p = InversePath((2, 3))
-    assert compress_path(z5, power_graph(z5).graph, p) == p
+    assert compress_path(z5, power_graph(z5).graph, (2, 3)) == (2, 3)
 
 
 def test_compress_path_z5_trace():
     # (a, b, b^-1, a^-1) with a=1, b=2 collapses to the endpoint pair
     z5 = construct_group("Z5")
-    out = compress_path(z5, power_graph(z5).graph, InversePath((1, 2, 3, 4)))
-    assert out.vertices == (1, 4)
+    assert compress_path(z5, power_graph(z5).graph, (1, 2, 3, 4)) == (1, 4)
 
 
 def test_compress_path_z9_landing_swap():
     # the walk lands exactly on the last vertex, forcing the final swap
     z9 = construct_group("Z9")
-    out = compress_path(z9, power_graph(z9).graph, InversePath((1, 6, 8, 3)))
-    assert out.vertices == (1, 8, 6, 3)
+    assert compress_path(z9, power_graph(z9).graph, (1, 6, 8, 3)) == (1, 8, 6, 3)
 
 
 def _inverse_closed_paths(g, gr, max_len):
@@ -228,37 +224,35 @@ def test_compress_path_properties_by_enumeration():
         paths = _inverse_closed_paths(g, gr, max_len)
         assert paths, spec
         for vertices in paths:
-            p = InversePath(vertices)
-            out = compress_path(g, gr, p)
-            assert set(out.vertices) <= set(vertices), (spec, vertices)
+            out = compress_path(g, gr, vertices)
+            assert set(out) <= set(vertices), (spec, vertices)
             # still a path of the power graph
-            for a, b in zip(out.vertices, out.vertices[1:]):
+            for a, b in zip(out, out[1:]):
                 assert gr.has_edge(a, b), (spec, vertices, out)
-            assert out.endpoints == p.endpoints or (
-                # endpoints as a set always survive compression
-                False), (spec, vertices, out)
+            # endpoints as a set always survive compression
+            assert {out[0], out[-1]} == {vertices[0], vertices[-1]}, (spec, vertices, out)
             # alternating (x, x^-1) shape
-            assert len(out.vertices) % 2 == 0
-            for j in range(0, len(out.vertices), 2):
-                assert g.inv[out.vertices[j]] == out.vertices[j + 1]
+            assert len(out) % 2 == 0
+            for j in range(0, len(out), 2):
+                assert g.inv[out[j]] == out[j + 1]
 
 
 def test_compress_path_rejects_bad_inputs():
     z12 = construct_group("Z12")
     gr = power_graph(z12).graph
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, gr, InversePath((6,)))
+        compress_path(z12, gr, (6,))
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, gr, InversePath((0, 1)))
+        compress_path(z12, gr, (0, 1))
     z5 = construct_group("Z5")
     with pytest.raises(ValueError, match="inverse-closed"):
-        compress_path(z5, power_graph(z5).graph, InversePath((1, 2)))
+        compress_path(z5, power_graph(z5).graph, (1, 2))
     with pytest.raises(ValueError, match="adjacent"):
-        compress_path(z12, gr, InversePath((3, 9, 4, 8)))
+        compress_path(z12, gr, (3, 9, 4, 8))
     with pytest.raises(ValueError, match="repeated"):
-        compress_path(z12, gr, InversePath((1, 11, 1, 11)))
+        compress_path(z12, gr, (1, 11, 1, 11))
     with pytest.raises(ValueError):
-        compress_path(z12, gr, InversePath(()))
+        compress_path(z12, gr, ())
 
 
 # ── path covers ──────────────────────────────────────────────────────────────
@@ -268,16 +262,16 @@ def test_path_cover_cyclic_even():
         g = construct_group(f"Z{2 * n}")
         gr = power_graph(g).graph
         cover = path_cover_from_matching(g, gr, maximum_matching(gr))
-        assert len(cover.paths) == 1
-        assert cover.endpoint_union == frozenset({0, n})
+        assert len(cover) == 1
+        assert {cover[0][0], cover[0][-1]} == {0, n}
 
 
 def test_path_cover_q8():
     g = construct_group("Q8")
     gr = power_graph(g).graph
     cover = path_cover_from_matching(g, gr, maximum_matching(gr))
-    assert len(cover.paths) == 1
-    assert cover.endpoint_union == frozenset({0, 2})
+    assert len(cover) == 1
+    assert {cover[0][0], cover[0][-1]} == {0, 2}
 
 
 def test_path_cover_rejects_bad_inputs():
@@ -301,26 +295,26 @@ def test_path_cover_properties_across_catalog():
                 continue
             cover = path_cover_from_matching(g, gr, mm)
             invs = involutions(g)
-            assert len(cover.paths) == (len(invs) + 1) // 2, g.label
+            assert len(cover) == (len(invs) + 1) // 2, g.label
             seen = set()
-            for p in cover.paths:
-                vset = set(p.vertices)
+            for p in cover:
+                vset = set(p)
                 assert not (seen & vset), g.label
                 seen |= vset
                 assert {g.inv[x] for x in vset} == vset, g.label
-                interior = p.vertices[1:-1]
+                interior = p[1:-1]
                 assert all(g.orders[x] >= 3 for x in interior), g.label
-                if 0 not in p.vertices:
+                if 0 not in p:
                     # every identity-free path showed at least 2 interiors
                     assert len(interior) >= 2, g.label
-            assert cover.endpoint_union == invs | {0}, g.label
+            assert {x for p in cover for x in (p[0], p[-1])} == invs | {0}, g.label
 
 
 # ── matching from cover, and the equivalence ─────────────────────────────────
 
 def test_matching_from_hand_built_cover():
     g = construct_group("Z12")
-    cover = PathCover((InversePath((0, 6)),))
+    cover = ((0, 6),)
     m = matching_from_path_cover(g, power_graph(g).graph, cover)
     assert m.is_perfect(12)
     assert m.edges == ((0, 6), (1, 11), (2, 10), (3, 9), (4, 8), (5, 7))
@@ -343,19 +337,17 @@ def test_matching_from_cover_rejects_bad_covers():
     z12 = construct_group("Z12")
     gr12 = power_graph(z12).graph
     with pytest.raises(ValueError, match="endpoint"):
-        matching_from_path_cover(z12, gr12, PathCover((InversePath((1, 11)),)))
+        matching_from_path_cover(z12, gr12, ((1, 11),))
     with pytest.raises(ValueError, match="paths"):
-        matching_from_path_cover(
-            z12, gr12, PathCover((InversePath((0, 6)), InversePath((1, 11)))))
+        matching_from_path_cover(z12, gr12, ((0, 6), (1, 11)))
     with pytest.raises(ValueError, match="single-vertex"):
-        matching_from_path_cover(z12, gr12, PathCover((InversePath((0,)),)))
+        matching_from_path_cover(z12, gr12, ((0,),))
     q8 = construct_group("Q8")
     gr8 = power_graph(q8).graph
     # (0, 1, 3, 2) is a legitimate cover: {1, 3} are mutual inverses
-    assert matching_from_path_cover(
-        q8, gr8, PathCover((InversePath((0, 1, 3, 2)),))).is_perfect(8)
+    assert matching_from_path_cover(q8, gr8, ((0, 1, 3, 2),)).is_perfect(8)
     with pytest.raises(ValueError, match="inverse-closed"):
-        matching_from_path_cover(q8, gr8, PathCover((InversePath((2, 5)),)))
+        matching_from_path_cover(q8, gr8, ((2, 5),))
 
 
 def test_shortest_identity_free_paths():
@@ -368,8 +360,8 @@ def test_shortest_identity_free_paths():
     gr = power_graph(g).graph
     for short in ((6, 9), (6, 8, 9), (6, 2, 9)):
         with pytest.raises(ValueError):
-            matching_from_path_cover(g, gr, PathCover((InversePath((0, 3)), InversePath(short))))
-    cover = PathCover((InversePath((0, 3)), InversePath((6, 8, 10, 2, 4, 11, 7, 9))))
+            matching_from_path_cover(g, gr, ((0, 3), short))
+    cover = ((0, 3), (6, 8, 10, 2, 4, 11, 7, 9))
     m = matching_from_path_cover(g, gr, cover)
     assert m.is_perfect(12)
     assert (0, 3) in m.edges and (1, 5) in m.edges
@@ -378,14 +370,14 @@ def test_shortest_identity_free_paths():
 def test_check_theorem44():
     assert check_theorem44(construct_group("Z12")).optimal
     cover = check_theorem44(construct_group("Ab[2,6]")).cover
-    assert cover.to_json() == [[0, 9], [3, 1, 5, 2, 4, 8, 10, 6]]
+    assert cover == ((0, 9), (3, 1, 5, 2, 4, 8, 10, 6))
     report = check_theorem44(construct_group("D10"))
     assert report == matching.Theorem44Report(False, None, None, (0,))
     with pytest.raises(ValueError):
         check_theorem44(construct_group("Z9"))
     full = check_theorem44(construct_group("Q16"))
     assert full.optimal and full.matching.is_perfect(16) and full.barrier is None
-    assert full.cover is not None and len(full.cover.paths) == 1
+    assert full.cover is not None and len(full.cover) == 1
 
 
 def _check_certificate(g, report, gr):
@@ -413,7 +405,8 @@ def test_check_theorem44_across_catalog():
             gr = power_graph(g).graph
             assert report.optimal == maximum_matching(gr).is_perfect(g.n), g.label
             if report.optimal:
-                assert report.cover.endpoint_union == involutions(g) | {0}
+                ends = {x for p in report.cover for x in (p[0], p[-1])}
+                assert ends == involutions(g) | {0}
             if m <= 64:
                 _check_certificate(g, report, gr)
 
@@ -495,7 +488,7 @@ def test_a_cover_across_incomparable_classes_is_rejected():
     edges = ClassEdges(g)
     x = next(x for x in range(g.n) if g.orders[x] == 3)
     assert not edges.has_edge(6, x)
-    cover = PathCover((InversePath((0, 3)), InversePath((6, x, g.inv[x], 9))))
+    cover = ((0, 3), (6, x, g.inv[x], 9))
     with pytest.raises(ValueError, match="not adjacent"):
         matching_from_path_cover(g, edges, cover)
     with pytest.raises(ValueError, match="not adjacent"):
@@ -545,5 +538,6 @@ def test_serialization_shapes():
     report = check_theorem44(g)
     as_json = report.matching.to_json()
     assert all(isinstance(e, list) and len(e) == 2 for e in as_json)
-    cov = report.cover.to_json()
-    assert all(isinstance(p, list) for p in cov)
+    # the cover is a tuple of tuples, which JSON prints as lists of lists
+    cov = json.loads(json.dumps(report.cover))
+    assert cov == [list(p) for p in report.cover] and all(isinstance(p, list) for p in cov)

@@ -27,11 +27,14 @@ RHO_KNOWN = {1: 2, 2: 2, 8: 8, 14: 16, 34: 37, 91: 97, 200: 211}
 def test_factorize_reconstructs():
     for n in range(1, 2000):
         f = nt.factorize(n)
-        assert math.prod(p**r for p, r in f.factors) == n
-        assert list(f.primes) == sorted(f.primes)
-        assert all(r >= 1 for _, r in f.factors)
-    with pytest.raises(AttributeError):
-        f.factors = ()
+        assert math.prod(p**r for p, r in f) == n
+        assert [p for p, _ in f] == sorted({p for p, _ in f})
+        assert all(r >= 1 for _, r in f)
+    # a tuple of (prime, exponent) pairs, which no caller can change
+    assert nt.factorize(360) == ((2, 3), (3, 2), (5, 1))
+    assert type(f) is tuple and all(type(pair) is tuple for pair in f)
+    with pytest.raises(TypeError):
+        f[0] = (2, 1)
 
 
 def test_factorize_rejects_nonpositive():
@@ -70,19 +73,32 @@ def test_chi_against_brute_chain():
 
 
 def test_chi_table_matches_chi():
-    table = nt.chi_table(2000)
-    for n in range(1, 2001):
+    limit = 10**5
+    table = nt.chi_table(limit)
+    for n in range(1, limit + 1):
         assert table[n] == nt.chi(n), n
+
+
+def test_chi_past_the_sieve():
+    # exact values where no table reaches: a 12-digit prime, twice it, and
+    # a product p*q of primes p < q, whose chain is pq, q, 1
+    big = 999999999989
+    assert nt.factorize(big) == ((big, 1),)
+    assert nt.chi(big) == big
+    assert nt.chi(2 * big) == 2 * big - 1
+    p, q = 1000003, big
+    assert nt.factorize(p * q) == ((p, 1), (q, 1))
+    assert nt.chi(p * q) == p * (q - 1) + 1
 
 
 def test_chi_recursion_bound_and_near_miss():
     # recursion, the <= n bound with its equality case, and the n-1 case
     for n in range(2, 2000):
-        p = nt.factorize(n).factors[0][0]
+        p = nt.factorize(n)[0][0]
         assert nt.chi(n) == nt.totient(n) + nt.chi(n // p)
         assert nt.chi(n) <= n
         assert (nt.chi(n) == n) == nt.is_prime_power(n)
-        assert (nt.chi(n) == n - 1) == nt.classify_order(n).is_twice_odd_prime
+        assert (nt.chi(n) == n - 1) == nt.is_twice_odd_prime(n)
 
 
 def test_chi_one_convention():
@@ -113,17 +129,16 @@ def test_is_prime_power_against_brute():
         assert nt.is_prime_power(n) == is_prime_power_brute(n), n
 
 
-def test_classify_order():
-    c6 = nt.classify_order(6)
-    assert c6.is_twice_odd_prime and not c6.is_prime_power
-    assert nt.classify_order(16).is_prime_power
-    c12 = nt.classify_order(12)
-    assert not c12.is_prime_power and not c12.is_twice_odd_prime
-    c1 = nt.classify_order(1)
-    assert not c1.is_prime_power and not c1.is_twice_odd_prime
-    assert nt.classify_order(4).is_prime_power
-    assert not nt.classify_order(4).is_twice_odd_prime  # 2*2 is not twice an odd prime
-    assert nt.classify_order(94).is_twice_odd_prime
+def test_order_predicates():
+    assert nt.is_twice_odd_prime(6) and not nt.is_prime_power(6)
+    assert nt.is_prime_power(16)
+    assert not nt.is_prime_power(12) and not nt.is_twice_odd_prime(12)
+    assert not nt.is_prime_power(1) and not nt.is_twice_odd_prime(1)
+    assert nt.is_prime_power(4)
+    assert not nt.is_twice_odd_prime(4)  # 2*2 is not twice an odd prime
+    assert nt.is_twice_odd_prime(94)
+    with pytest.raises(ValueError):
+        nt.is_twice_odd_prime(0)
 
 
 def test_is_prime():

@@ -7,15 +7,13 @@ that deduplicates up to isomorphism and is flagged complete when its size
 reaches the known group count.  The identity always sits at identifier 0.
 
 Each family walks its cyclic subgroups, all that the power graph reads,
-by its own arithmetic, once per class, and the group keeps the walk, so
-its table is built on the first read of ``mul``: by a product, the
-conjugacy classes or the isomorphism search.
-One builder fills every table along the greedy-generator walk
-(``_walk``), the only closure under multiplication: a generator's row
-from the family's product, every other row as row(x*s) = row(x)
-permuted by row(s).  Rows come from ``_row_type``: ``bytes`` up to
-order 256, lists to 1024 and ``array('H')`` above.  Power-graph degrees
-come from the cyclic classes, so nothing here builds a power graph.
+once per class, and the group keeps the walk, so its table is built on
+the first read of ``mul``: by a product, the conjugacy classes or the
+isomorphism search.  Each family has one product x*s (``_right``).  One
+builder fills every table from it along the greedy-generator walk
+(``_walk``), the only closure under multiplication, in ``array('H')``
+rows at every order.  Power-graph degrees come from the cyclic classes,
+so nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ class Group:
 
     The group keeps what the walk found: the powers of each class's least
     member r in power order, in one flat row with an offset per class, and
-    per element x its class and the exponent e with x = r^e.  These rows
-    are ``bytes`` up to order 256 and ``array('H')`` above; the offsets
+    per element x its class and the exponent e with x = r^e.  These class
+    rows are ``bytes`` up to order 256 and ``array('H')`` above; the offsets
     are ``array('I')``.  ``cyclic_subgroup`` reads them, so a product
     reads its factors' powers without walking them again.
     """
@@ -103,7 +101,7 @@ class Group:
         self.n = n
         self.label = label
         self._mul = mul
-        walk = powers or partial(_table_powers, mul)
+        walk = powers or partial(_powers, lambda x, s: mul[x][s], n)
         # above order 256 the rows are typed from the start, so the walk
         # keeps no int object per element or per power while it runs
         small = n <= 256
@@ -172,15 +170,19 @@ class Group:
         return f"Group({self.label!r}, n={self.n})"
 
 
-def _table_powers(mul, x: int) -> list[int]:
-    """Members of <x> in power order, walked along the table mul."""
+def _powers(right, n: int, x: int) -> list[int]:
+    """Members of <x> in power order along right(x, s) = x*s, n = |G|, for
+    tables and permutations.  Window groups walk by digits: along their
+    product ``verify chi --max 600`` took 0.63 s, not 0.41 s.  Products
+    read their factors' walks: along the factors' products the cold
+    1..128 catalog was 35% slower."""
     members = [0]
     acc = x
     while acc != 0:
-        if len(members) == len(mul):
+        if len(members) == n:
             raise ValueError(f"powers of element {x} never reach the identity")
         members.append(acc)
-        acc = mul[acc][x]
+        acc = right(acc, x)
     return members
 
 
@@ -220,22 +222,6 @@ def is_generalized_quaternion(g: Group) -> bool:
 
 
 # ── family constructors ──────────────────────────────────────────────────────
-
-def _row_type(n: int):
-    """Row constructor of an n-element table, by the band n falls in.
-
-    Up to 256 every entry fits in a byte, so rows are ``bytes``: one byte
-    per entry, no pointers for the cyclic GC to walk, and each entry read
-    is a cached small int.  From 257 to 1024 rows are lists, whose entries
-    all point into one shared row of ids, as ``_build_table`` and the
-    ``cayley:`` loader arrange: a read returns a stored int where an
-    ``array('H')`` read makes a new one, and 8 bytes per entry is still
-    small at these orders.  Past 1024 rows are ``array('H')``, 2 bytes per
-    entry, as list rows of S7 would take 200 MB."""
-    if n <= 256:
-        return bytes
-    return list if n <= 1024 else partial(array, "H")
-
 
 def _walk(n: int, right) -> list[list[tuple[int, int, int]]]:
     """Greedy generators of a group on 0..n-1 with identity 0, right(x, s) =
@@ -306,16 +292,6 @@ def _perms(k: int, even: bool) -> tuple[list[tuple[int, ...]], dict]:
     return perms, {p: i for i, p in enumerate(perms)}
 
 
-def _perm_powers(k: int, even: bool, x: int) -> list[int]:
-    """Powers in S_k or A_k, each step composing with x's permutation."""
-    perms, index = _perms(k, even)
-    step, members, q = itemgetter(*perms[x]), [0], perms[x]
-    while q != perms[0]:
-        members.append(index[q])
-        q = step(q)
-    return members
-
-
 def _product_powers(ga: Group, gb: Group, x: int) -> list[int]:
     """Powers in ga x gb, componentwise from the rows the factors keep, in
     one pass, so a nested product walks no factor again."""
@@ -326,6 +302,7 @@ def _product_powers(ga: Group, gb: Group, x: int) -> list[int]:
 
 # ── spec grammar ─────────────────────────────────────────────────────────────
 
+_MAX_PRODS = 32  # bounds nesting; twelve non-trivial factors pass ORDER_CAP
 _ATOM = re.compile(r"(Dic|Z|D|Q|S|A)([0-9]+)\Z")
 _LIST = re.compile(r"(Ab|GDih)\[([0-9]+(?:,[0-9]+)*)\]\Z")
 
@@ -348,10 +325,10 @@ def parse_group_spec(spec: str):
 
     Grammar (exact, case-sensitive): Z<n>, Ab[d1,...,dk], D<2n>,
     GDih[d1,...,dk], Dic<n>, Q<2^k> (k >= 3), S<n>/A<n> (n <= 7),
-    Prod(spec,spec), cayley:<path>.  Results: ("window", ds, z) for
-    ``_window_right`` (Q<2^k> is Dic<2^(k-2)>), ("perm", k, even),
-    ("prod", left, right) with both factor specs validated, and
-    ("cayley", path).
+    Prod(spec,spec) (at most 32 Prods in one spec), cayley:<path>.
+    Results: ("window", ds, z) for ``_window_right`` (Q<2^k> is
+    Dic<2^(k-2)>), ("perm", k, even), ("prod", left, right) with both
+    factor specs validated, and ("cayley", path).
     """
     spec = spec.strip()
     if spec.startswith("cayley:"):
@@ -360,6 +337,8 @@ def parse_group_spec(spec: str):
             raise GroupSpecError("cayley: needs a file path")
         return ("cayley", path)
     if spec.startswith("Prod(") and spec.endswith(")"):
+        if spec.count("Prod(") > _MAX_PRODS:
+            raise GroupSpecError(f"a spec holds at most {_MAX_PRODS} Prods")
         left, right = _split_product(spec[len("Prod("):-1])
         parse_group_spec(left)
         parse_group_spec(right)
@@ -407,8 +386,10 @@ def construct_group(spec: str) -> Group:
             _group_cache[spec] = _load_cayley(tree[1], spec)
         else:
             _check_cap(n := _order(tree))
-            powers = (partial(_product_powers, *map(construct_group, tree[1:])) if tree[0] == "prod"
-                      else partial(_window_powers if tree[0] == "window" else _perm_powers, *tree[1:]))
+            kind, *args = tree
+            powers = (partial(_product_powers, *map(construct_group, args)) if kind == "prod"
+                      else partial(_window_powers, *args) if kind == "window"
+                      else partial(_powers, _right(tree), n))
             _group_cache[spec] = Group(partial(_build_table, tree), spec, n, powers)
     return _group_cache[spec]
 
@@ -426,34 +407,35 @@ def _order(tree) -> int:
     return construct_group(f"cayley:{args[0]}").n
 
 
-def _build_table(tree):
-    """The table of a parsed spec, filled along ``_walk`` of its product
-    x*s: mixed-radix digits, composed permutations (p*q is p after q), or
-    (a, b) at a*|B| + b over the factors' tables.  A generator's row is
-    the product, every other row(x*s) is row(x) permuted by row(s), as
-    (x*s)*t = x*(s*t).  Each entry is read from one row of ids or from an
-    earlier row, so list rows share one int per id."""
+def _right(tree):
+    """The product x*s of a parsed spec's group: mixed-radix digits,
+    composed permutations (p*q is p after q), or (a, b) at a*|B| + b over
+    the factors' tables."""
     kind, *args = tree
     if kind == "window":
-        right = partial(_window_right, *args)
-    elif kind == "perm":
+        return partial(_window_right, *args)
+    if kind == "perm":
         perms, index = _perms(*args)
-        right = lambda x, s: index[itemgetter(*perms[s])(perms[x])]
-    else:  # construct_group caches the factors, so none is rebuilt
-        ma, mb = (construct_group(spec).mul for spec in args)
-        nb = len(mb)
-        right = lambda x, s: ma[x // nb][s // nb] * nb + mb[x % nb][s % nb]
-    n = _order(tree)
-    as_row = _row_type(n)
-    ids = as_row(range(n))
-    rows, getters = [ids] * n, {}
+        return lambda x, s: index[itemgetter(*perms[s])(perms[x])]
+    # construct_group caches the factors, so none is rebuilt
+    ma, mb = (construct_group(spec).mul for spec in args)
+    nb = len(mb)
+    return lambda x, s: ma[x // nb][s // nb] * nb + mb[x % nb][s % nb]
+
+
+def _build_table(tree):
+    """The table of a parsed spec in ``array('H')`` rows, filled along
+    ``_walk`` of ``_right(tree)``: a generator's row is the product, every
+    other row(x*s) is row(x) permuted by row(s), as (x*s)*t = x*(s*t)."""
+    right, n = _right(tree), _order(tree)
+    rows, getters = [array("H", range(n))] * n, {}
     for level in _walk(n, right):
         for y, x, s in level:
             if x == 0:
-                rows[y] = as_row(map(ids.__getitem__, map(partial(right, y), range(n))))
+                rows[y] = array("H", map(partial(right, y), range(n)))
                 getters[y] = itemgetter(*rows[y])
             else:
-                rows[y] = as_row(getters[s](rows[x]))
+                rows[y] = array("H", getters[s](rows[x]))
     return rows
 
 
@@ -491,9 +473,7 @@ def _load_cayley(path: str, label: str) -> Group:
         if 0 not in mul[x]:
             raise CayleyTableError(f"inverse axiom violated: element {x} has no inverse")
     _check_associative(mul)  # compares rows with lists, so before conversion
-    as_row = _row_type(n)
-    ids = as_row(range(n))  # entries share one int per id, as in a built table
-    return Group([as_row(map(ids.__getitem__, row)) for row in mul], label)
+    return Group([array("H", row) for row in mul], label)
 
 
 def _check_associative(mul: list[list[int]]) -> None:

@@ -576,6 +576,25 @@ def test_cold_calls_run_only_what_they_read():
                          "powerindex.clique"}
 
 
+def test_nested_prod_past_the_bound_exits_2():
+    # each Prod level parses its factors again, and 1,100 levels passed the
+    # recursion limit; past 32 Prods a spec is refused in one line
+    def nested(depth):
+        spec = "Prod(Z2,Z1)"
+        for _ in range(depth - 1):
+            spec = f"Prod({spec},Z1)"
+        return spec
+
+    src = os.path.dirname(os.path.dirname(powerindex.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for depth, want_code, want_out in ((1100, 2, ""), (33, 2, ""), (32, 0, "true\n")):
+        done = subprocess.run([sys.executable, "-m", "powerindex.cli", "check-thm44", nested(depth)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert (done.returncode, done.stdout) == (want_code, want_out), depth
+        if want_code == 2:
+            assert done.stderr == "error: a spec holds at most 32 Prods\n", depth
+
+
 _NAMES_AND_RUNS = """
 import json, sys, types
 sys.path.insert(0, sys.argv[1])

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import random
+from array import array
 from math import prod
 from unittest.mock import patch
 
@@ -90,9 +91,9 @@ def test_family_axioms():
 # sha256 of the rows of each multiplication table, one line per row with
 # entries separated by spaces, first 16 hex digits, as the tables were
 # built by one builder per family, before every family's table was filled
-# along the one generator walk; the digest reads entries, so it holds for
-# every row type: bytes up to order 256 (S5, Q16, ...), lists up to 1024
-# (S6, A6), array('H') above (S7, A7)
+# along the one generator walk; the digest reads entries, so it held through
+# every row format: bytes up to order 256 and lists up to 1024, before rows
+# were array('H') at every order
 TABLE_DIGESTS = {
     "Z12": "47c124f452e0a7c6",
     "Ab[1,4]": "c710ff76c54d89b9",
@@ -112,7 +113,7 @@ TABLE_DIGESTS = {
     "S7": "89ac9edd277254d9",
     "Prod(S3,Q8)": "4c2eecd13e5c8d82",
     "Prod(Z3,Prod(Z2,S3))": "95576f877e16c1f6",
-    # each windowed family in the array band, then two factor lists with
+    # each windowed family past order 1024, then two factor lists with
     # small last factors; D5040 (4af8223740d35af5) is left out, as its table
     # and digest take about two seconds (CI checks it at the order cap)
     "D1200": "b56a35247ba4f661",
@@ -136,15 +137,6 @@ def _table_digest(mul) -> str:
 def test_tables_unchanged():
     for spec, digest in TABLE_DIGESTS.items():
         assert _table_digest(construct_group(spec).mul) == digest, spec
-
-
-def test_list_rows_share_int_objects():
-    # orders 257..1024 keep list rows, whose entries lie outside the small-int
-    # cache; shared ints hold such a table near 8 bytes per entry
-    for spec in ("Z1000", "D600", "GDih[2,150]", "Dic100", "Ab[2,2,4,60]", "S6"):
-        mul = construct_group(spec).mul
-        assert isinstance(mul[0], list), spec
-        assert len({id(x) for row in mul for x in row}) == len(mul), spec
 
 
 def test_window_table_matches_oracle():
@@ -172,12 +164,16 @@ def test_band_edges_match_oracle():
         assert [list(row) for row in mul] == window_table_brute(ds, z), spec
 
 
-def test_byte_rows_up_to_order_256():
-    # every entry of a table of order <= 256 fits in a byte
-    for spec in ("Z1", "Z256", "D256", "Q256", "S5", "A5", "Prod(Z2,S5)"):
-        assert all(type(row) is bytes for row in construct_group(spec).mul), spec
-    assert type(construct_group("Z257").mul[0]) is list
-    assert type(construct_group("D258").mul[0]) is list
+def _row_formats(mul) -> set:
+    return {(type(row), row.typecode) for row in mul}
+
+
+def test_array_rows_at_every_order():
+    # one row format, two bytes per entry, on both sides of the edges of
+    # the old bands (bytes up to order 256, lists up to 1024), every family
+    for spec in ("Z1", "Z256", "D256", "Q256", "S5", "A5", "Prod(Z2,S5)",
+                 "Z257", "D258", "S6", "Prod(Z2,Dic128)", "D1024", "Z1025"):
+        assert _row_formats(construct_group(spec).mul) == {(array, "H")}, spec
     for spec in ("Z256", "D256", "Q256"):
         _check_axioms(construct_group(spec))
 
@@ -251,8 +247,9 @@ def test_cyclic_subgroup_and_generation():
 
 
 def test_family_powers_agree_with_the_table(tmp_path):
-    # each family walks its powers by its own arithmetic, never reading
-    # the table; here the table is read, and every walk is checked against
+    # window groups and products walk their powers by their own arithmetic,
+    # the other families along their product, none reading the table; here
+    # the table is read, and every walk is checked against
     # it, as is each fact the walk gives against a group given the table
     path = tmp_path / "dic3.json"
     path.write_text(json.dumps({"n": 12, "mul": [list(r) for r in construct_group("Dic3").mul]}))
@@ -385,8 +382,8 @@ def test_product_reuses_cached_factor_tables(monkeypatch):
 
 
 def test_product_tables_match_their_factors(tmp_path):
-    # (a, b)(c, d) = (ac, bd) with (a, b) at a*|B| + b, entry by entry, in
-    # the byte and list bands, over a nested product and a cayley: factor
+    # (a, b)(c, d) = (ac, bd) with (a, b) at a*|B| + b, entry by entry,
+    # on either side of order 256, over a nested product and a cayley: factor
     path = tmp_path / "dic3.json"
     path.write_text(json.dumps({"n": 12, "mul": [list(r) for r in construct_group("Dic3").mul]}))
     with patch.dict(groups._group_cache):
@@ -649,25 +646,17 @@ def test_cayley_round_trip(tmp_path):
 
 
 def test_cayley_rows_match_the_built_tables(tmp_path):
-    # a loaded table takes the row type of its order, as a built one does
-    d8 = construct_group("D8")
-    path = tmp_path / "d8.json"
-    path.write_text(json.dumps({"n": 8, "mul": [list(r) for r in d8.mul]}))
-    g = construct_group(f"cayley:{path}")
-    assert all(type(row) is bytes for row in g.mul)
-    assert _table_digest(g.mul) == TABLE_DIGESTS["D8"]
-
-
-def test_cayley_list_rows_share_int_objects(tmp_path):
-    # the JSON parser makes an int per entry; a loaded list-band table maps
-    # them onto one int per id, as test_list_rows_share_int_objects asks of
-    # a built one
-    z1000 = construct_group("Z1000")
-    path = tmp_path / "z1000.json"
-    path.write_text(json.dumps({"n": 1000, "mul": z1000.mul}))
-    mul = construct_group(f"cayley:{path}").mul
-    assert mul == z1000.mul
-    assert len({id(x) for row in mul for x in row}) == 1000
+    # a loaded table has the built one's entries in the same array('H')
+    # rows, on both sides of the edges of the old bands
+    for spec in ("D8", "Z1", "Z256", "Z257", "Z1000", "Z1024", "Z1025"):
+        built = construct_group(spec).mul
+        path = tmp_path / f"{spec}.json"
+        path.write_text(json.dumps({"n": len(built), "mul": [list(r) for r in built]}))
+        mul = construct_group(f"cayley:{path}").mul
+        assert mul == built, spec
+        assert _row_formats(mul) == {(array, "H")}, spec
+        if spec == "D8":
+            assert _table_digest(mul) == TABLE_DIGESTS["D8"]
 
 
 def test_cayley_accepts_groups_past_order_64(tmp_path):
@@ -839,7 +828,6 @@ def test_class_walk_keeps_no_int_per_element():
     # list holding an int object for each takes its build to about 360 KB
     # traced, where the typed rows take about 140 KB
     import tracemalloc
-    from array import array
 
     for spec, kind in (("Q16", bytes), ("Z256", bytes), ("Z258", array)):
         g = construct_group(spec)

@@ -20,6 +20,7 @@ import argparse
 import importlib.util
 import json
 import sys
+from functools import partial
 
 from . import FORMATS, SUITE_NAMES
 
@@ -63,21 +64,10 @@ def _load_graph(path: str) -> graphs.SimpleGraph:
     return graphs.parse_graph(text)
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
-    value = numtheory.chi(args.n)
-    _emit(args, {"n": args.n, "chi": value}, str(value))
-    return 0
-
-
-def _cmd_rho(args: argparse.Namespace) -> int:
-    value = numtheory.rho(args.n)
-    _emit(args, {"n": args.n, "rho": value}, str(value))
-    return 0
-
-
-def _cmd_theta_complete(args: argparse.Namespace) -> int:
-    value = numtheory.theta_complete(args.n)
-    _emit(args, {"n": args.n, "theta": value}, str(value))
+def _cmd_number(name: str, key: str, args: argparse.Namespace) -> int:
+    """Print numtheory's `name` of n, under `key` in the JSON."""
+    value = getattr(numtheory, name)(args.n)
+    _emit(args, {"n": args.n, key: value}, str(value))
     return 0
 
 
@@ -231,15 +221,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("chi", _cmd_chi, "totient chain sum of n")
-    p.add_argument("n", type=int)
-
-    p = add("rho", _cmd_rho, "least prime power >= n")
-    p.add_argument("n", type=int)
-
-    p = add("theta-complete", _cmd_theta_complete,
-            "power index of the complete graph K_n")
-    p.add_argument("n", type=int)
+    for name, key, help_text in (("chi", "chi", "totient chain sum of n"),
+                                 ("rho", "rho", "least prime power >= n"),
+                                 ("theta_complete", "theta",
+                                  "power index of the complete graph K_n")):
+        p = add(name.replace("_", "-"), partial(_cmd_number, name, key), help_text)
+        p.add_argument("n", type=int)
 
     p = add("theta", _cmd_theta, "power index of a graph by catalog search")
     p.add_argument("graphfile")

@@ -327,8 +327,9 @@ def parse_group_spec(spec: str):
     GDih[d1,...,dk], Dic<n>, Q<2^k> (k >= 3), S<n>/A<n> (n <= 7),
     Prod(spec,spec) (at most 32 Prods in one spec), cayley:<path>.
     Results: ("window", ds, z) for ``_window_right`` (Q<2^k> is
-    Dic<2^(k-2)>), ("perm", k, even), ("prod", left, right) with both
-    factor specs validated, and ("cayley", path).
+    Dic<2^(k-2)>), ("perm", k, even), ("cayley", path), and ("prod",
+    (left, left_tree), (right, right_tree)): each factor's stripped spec,
+    its label and cache key, with its tree, so no node is parsed twice.
     """
     spec = spec.strip()
     if spec.startswith("cayley:"):
@@ -339,10 +340,8 @@ def parse_group_spec(spec: str):
     if spec.startswith("Prod(") and spec.endswith(")"):
         if spec.count("Prod(") > _MAX_PRODS:
             raise GroupSpecError(f"a spec holds at most {_MAX_PRODS} Prods")
-        left, right = _split_product(spec[len("Prod("):-1])
-        parse_group_spec(left)
-        parse_group_spec(right)
-        return ("prod", left, right)
+        factors = map(str.strip, _split_product(spec[len("Prod("):-1]))
+        return ("prod", *((factor, parse_group_spec(factor)) for factor in factors))
     m = _LIST.fullmatch(spec)
     if m:
         ds = tuple(int(tok) for tok in m.group(2).split(","))
@@ -377,17 +376,25 @@ _group_cache: dict[str, Group] = {}
 
 def construct_group(spec: str) -> Group:
     """Build the group named by a spec string; deterministic per spec, and
-    built once per process, a cayley: file included.  The order cap is
-    checked first, so a product past it builds no factor."""
+    built once per process, a cayley: file included.  The spec is parsed
+    only on a cache miss, and ``_construct`` builds from that tree."""
     spec = spec.strip()
     if spec not in _group_cache:
-        tree = parse_group_spec(spec)
+        _construct(spec, parse_group_spec(spec))
+    return _group_cache[spec]
+
+
+def _construct(spec: str, tree) -> Group:
+    """The group of a stripped spec and its parsed tree, cached by spec; a
+    product builds its factors from its subtrees.  The order cap is checked
+    first, so a product past it builds no factor."""
+    if spec not in _group_cache:
         if tree[0] == "cayley":
             _group_cache[spec] = _load_cayley(tree[1], spec)
         else:
             _check_cap(n := _order(tree))
             kind, *args = tree
-            powers = (partial(_product_powers, *map(construct_group, args)) if kind == "prod"
+            powers = (partial(_product_powers, *(_construct(*f) for f in args)) if kind == "prod"
                       else partial(_window_powers, *args) if kind == "window"
                       else partial(_powers, _right(tree), n))
             _group_cache[spec] = Group(partial(_build_table, tree), spec, n, powers)
@@ -403,8 +410,8 @@ def _order(tree) -> int:
     if kind == "perm":  # A1 and A2 are trivial
         return factorial(args[0]) // (2 if args[1] and args[0] > 1 else 1)
     if kind == "prod":
-        return prod(_order(parse_group_spec(spec)) for spec in args)
-    return construct_group(f"cayley:{args[0]}").n
+        return prod(_order(factor) for _, factor in args)
+    return _construct(f"cayley:{args[0]}", tree).n
 
 
 def _right(tree):
@@ -417,8 +424,8 @@ def _right(tree):
     if kind == "perm":
         perms, index = _perms(*args)
         return lambda x, s: index[itemgetter(*perms[s])(perms[x])]
-    # construct_group caches the factors, so none is rebuilt
-    ma, mb = (construct_group(spec).mul for spec in args)
+    # _construct caches the factors, so none is rebuilt
+    ma, mb = (_construct(*factor).mul for factor in args)
     nb = len(mb)
     return lambda x, s: ma[x // nb][s // nb] * nb + mb[x % nb][s % nb]
 
@@ -667,17 +674,17 @@ def _candidate_specs(m: int) -> list[str]:
     return specs
 
 
-def _factor_key(spec: str) -> tuple:
-    """Sorted direct factors of the group a spec names; equal keys name
-    isomorphic groups.  Prod flattens to its leaves; Z and Ab split into
-    cyclic factors of prime-power order; Dih(A) gives one Z2 per Z2
+def _factor_key(spec: str, tree) -> tuple:
+    """Sorted direct factors of the group a stripped spec names, read from
+    its parsed tree, a product's factors from their subtrees; equal keys
+    name isomorphic groups.  Prod flattens to its leaves; Z and Ab split
+    into cyclic factors of prime-power order; Dih(A) gives one Z2 per Z2
     elementary divisor of A, as Dih(B x Z2) = Dih(B) x Z2, and Dih of the
     rest A' unless A' is trivial; any other leaf is keyed by its spec."""
-    tree = parse_group_spec(spec)
     if tree[0] == "prod":
-        return tuple(sorted(_factor_key(tree[1]) + _factor_key(tree[2])))
+        return tuple(sorted(_factor_key(*tree[1]) + _factor_key(*tree[2])))
     if tree[0] != "window" or tree[2]:
-        return (("spec", spec.strip()),)
+        return (("spec", spec),)
     divisors = sorted(p ** r for d in tree[1] for p, r in factorize(d))
     if tree[2] is None:
         return tuple(("Z", q) for q in divisors)
@@ -702,12 +709,13 @@ def catalog_for_order(m: int) -> Catalog:
     reps: list[tuple[Group, tuple]] = []
     keys = set()
     for spec in _candidate_specs(m):
-        key = _factor_key(spec)
+        tree = parse_group_spec(spec)
+        key = _factor_key(spec, tree)
         if key in keys:
             continue
         keys.add(key)
         cached = spec in _group_cache
-        g = construct_group(spec)
+        g = _construct(spec, tree)
         fp = group_fingerprint(g)
         if not any(fp == fp0 and are_isomorphic(g, g0) for g0, fp0 in reps):
             reps.append((g, fp))

@@ -577,7 +577,7 @@ def test_cold_calls_run_only_what_they_read():
 
 
 def test_nested_prod_past_the_bound_exits_2():
-    # each Prod level parses its factors again, and 1,100 levels passed the
+    # the parser recurses once per Prod level, and 1,100 levels passed the
     # recursion limit; past 32 Prods a spec is refused in one line
     def nested(depth):
         spec = "Prod(Z2,Z1)"

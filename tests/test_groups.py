@@ -378,7 +378,7 @@ def test_product_reuses_cached_factor_tables(monkeypatch):
     g = construct_group(spec)
     assert calls == []
     assert _table_digest(g.mul) == TABLE_DIGESTS[spec]
-    assert calls == [("prod", "Z3", "Prod(Z2,S3)")]
+    assert calls == [parse_group_spec(spec)]
 
 
 def test_product_tables_match_their_factors(tmp_path):
@@ -389,7 +389,7 @@ def test_product_tables_match_their_factors(tmp_path):
     with patch.dict(groups._group_cache):
         for spec in ("Prod(S3,Q8)", "Prod(Z3,S5)", "Prod(Z2,Prod(Z3,D8))",
                      f"Prod(cayley:{path},Z4)"):
-            _, left, right = parse_group_spec(spec)
+            _, (left, _), (right, _) = parse_group_spec(spec)
             ma, mb = construct_group(left).mul, construct_group(right).mul
             na, nb = len(ma), len(mb)
             expected = [[ma[a][c] * nb + mb[b][d] for c in range(na) for d in range(nb)]
@@ -478,11 +478,11 @@ def test_factor_key_examples():
                  ("Z6", "Ab[2,3]"), ("D4", "Ab[2,2]"), ("D2", "Z2"),
                  ("GDih[2,2]", "Ab[2,2,2]"), ("GDih[2,6]", "Prod(Ab[2,2],D6)"),
                  ("Prod(Z1,Q8)", "Q8")):
-        assert _factor_key(a) == _factor_key(b), (a, b)
+        assert _factor_key(a, parse_group_spec(a)) == _factor_key(b, parse_group_spec(b)), (a, b)
     # S3 = D6 and Q8 = Dic2 are left to the isomorphism test; D8, Z8 and
     # Ab[2,4] are distinct groups
     for a, b in (("S3", "D6"), ("Q8", "Dic2"), ("D8", "Prod(Z2,Z4)"), ("Z8", "Ab[2,4]")):
-        assert _factor_key(a) != _factor_key(b), (a, b)
+        assert _factor_key(a, parse_group_spec(a)) != _factor_key(b, parse_group_spec(b)), (a, b)
 
 
 def test_equal_factor_keys_name_isomorphic_groups():
@@ -493,7 +493,7 @@ def test_equal_factor_keys_name_isomorphic_groups():
     for m in range(1, 65):
         by_key = {}
         for spec in _candidate_specs(m):
-            by_key.setdefault(_factor_key(spec), []).append(spec)
+            by_key.setdefault(_factor_key(spec, parse_group_spec(spec)), []).append(spec)
         for specs in by_key.values():
             for a, b in itertools.combinations(specs, 2):
                 g, h = construct_group(a), construct_group(b)
@@ -539,6 +539,41 @@ def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
     assert len(constructed) == len(set(constructed)) == 630
     assert rejected == ["S3"]
     assert sorted(built) == [parse_group_spec("S3"), parse_group_spec("D6")]
+
+
+def test_each_spec_node_is_parsed_once(monkeypatch):
+    # a product's tree carries its factors' trees, so constructing a spec
+    # parses each node of it once, and the catalog parses each candidate
+    # once, keying and building it from the same tree
+    depths, stack = [], []  # per call, how many parses it is nested in
+    parse = groups.parse_group_spec
+
+    def counted(spec):
+        depths.append(len(stack))
+        stack.append(spec)
+        try:
+            return parse(spec)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(groups, "parse_group_spec", counted)
+    chain = "Prod(Z2,Z1)"
+    for _ in range(31):
+        chain = f"Prod({chain},Z1)"
+    with patch.dict(groups._group_cache, clear=True):
+        assert construct_group(chain).n == 2
+    assert len(depths) == 65
+    depths.clear()
+    catalog_for_order.cache_clear()
+    try:
+        with patch.dict(groups._group_cache, clear=True):
+            for m in range(1, 129):
+                catalog_for_order(m)
+            top_level = depths.count(0)
+            candidates = sum(len(_candidate_specs(m)) for m in range(1, 129))
+    finally:
+        catalog_for_order.cache_clear()
+    assert top_level == candidates == 1355
 
 
 def test_cyclic_and_abelian_predicates():

@@ -808,7 +808,7 @@ def test_rejected_candidates_leave_the_spec_cache(monkeypatch):
             catalog_for_order(12)
             cached = set(groups._group_cache)
             assert ("perm", 3, False) in built and "S3" not in cached
-            assert ("prod", "Z2", "D6") not in built
+            assert parse_group_spec("Prod(Z2,D6)") not in built
             assert cached <= {g.label for m in range(1, 13) for g in catalog_for_order(m).groups}
         catalog_for_order.cache_clear()
         with patch.dict(groups._group_cache, clear=True):

@@ -28,7 +28,6 @@ from typing import NamedTuple
 from .graphs import SimpleGraph, _bits, complete_bipartite
 from .groups import (
     Catalog,
-    CyclicClass,
     Group,
     catalog_for_order,
     construct_group,
@@ -108,7 +107,7 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
     """Search for an embedding of the pattern into the group's power graph.
 
     The search assigns each pattern vertex a cyclic class of the host
-    (``Group.cyclic_classes``), not an element.  A class assignment is
+    (``Group.members``), not an element.  A class assignment is
     valid when no class takes more vertices than it has members, the two
     ends of every pattern edge sit in comparable classes (a class is
     comparable with itself), and every vertex sits in a class whose
@@ -137,20 +136,18 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
     """
     if pattern.n > g.n:
         return None
-    classes = g.cyclic_classes
-    assign = _assign_classes(pattern, classes)
+    assign = _assign_classes(pattern, g)
     if assign is None:
         return None
-    taken = [0] * len(classes)
+    taken = [0] * len(g.comparable)
     mapping = []
     for v, c in enumerate(assign):
-        mapping.append((v, classes[c].members[taken[c]]))
+        mapping.append((v, g.members(c)[taken[c]]))
         taken[c] += 1
     return EmbeddingWitness(tuple(mapping), g.label)
 
 
-def _assign_classes(pattern: SimpleGraph,
-                    classes: tuple[CyclicClass, ...]) -> list[int] | None:
+def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
     """A valid class per pattern vertex (see embeds), or None if none exists.
 
     Depth-first search on an explicit stack, over one vertex order fixed
@@ -169,9 +166,9 @@ def _assign_classes(pattern: SimpleGraph,
     if n == 0:
         return []
     padj, pdeg = pattern.adj, pattern.degrees()
-    size = [len(cl.members) for cl in classes]
-    comp = [cl.comparable for cl in classes]
-    pool = {d: sum(1 << c for c, cl in enumerate(classes) if cl.degree >= d)
+    comp = g.comparable
+    size = [len(g.members(c)) for c in range(len(comp))]
+    pool = {d: sum(1 << c for c, deg in enumerate(g.degree) if deg >= d)
             for d in set(pdeg)}
     twins = _twin_classes(padj, [None] * n)
     twin_sets = [members for _, members in twins]
@@ -332,7 +329,7 @@ def max_nonidentity_degree(g: Group) -> DegreeReport:
     (a universal non-identity vertex)."""
     if g.n == 1:
         raise ValueError("needs a non-trivial group")
-    top = max(cl.degree for cl in g.cyclic_classes[1:])
+    top = max(g.degree[1:])
     return DegreeReport(top, top >= g.n - 1)
 
 

@@ -6,10 +6,10 @@ single ``&`` operations.  Also holds the pattern-graph constructors and
 the edgelist / JSON / DOT text formats.
 
 Power graphs are built from the group's partition into cyclic classes
-(``Group.cyclic_classes``): x and y are adjacent exactly when the cyclic
-subgroups they generate are nested (Feng, Ma & Wang, *Eur. J. Combin.*
-43, 2015), so the power graph is the comparability graph of the classes
-with each class blown up to a clique.
+(``Group.members`` and ``Group.comparable``): x and y are adjacent
+exactly when the cyclic subgroups they generate are nested (Feng, Ma &
+Wang, *Eur. J. Combin.* 43, 2015), so the power graph is the
+comparability graph of the classes with each class blown up to a clique.
 """
 
 from __future__ import annotations
@@ -153,14 +153,16 @@ def power_graph(g) -> PowerGraph:
     The graph is rebuilt on each call from the classes, which the Group
     holds.
     """
-    classes = g.cyclic_classes
-    member_masks = [sum(1 << x for x in cl.members) for cl in classes]
+    members = list(map(g.members, range(len(g.comparable))))
+    member_masks = [sum(map((1).__lshift__, m)) for m in members]
     adj = [0] * g.n
-    for cl in classes:
+    for m, comparable in zip(members, g.comparable):
         mask = 0
-        for j in _bits(cl.comparable):
-            mask |= member_masks[j]
-        for x in cl.members:
+        while comparable:  # inline, as a call to _bits per class costs more
+            low = comparable & -comparable
+            mask |= member_masks[low.bit_length() - 1]
+            comparable ^= low
+        for x in m:
             adj[x] = mask ^ (1 << x)
     gr = SimpleGraph(g.n)
     gr.adj = adj

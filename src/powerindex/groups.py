@@ -30,10 +30,6 @@ from typing import NamedTuple
 from .numtheory import factorize
 
 ORDER_CAP = 5040
-# One int object per id, which every group's ``inv`` and class members
-# share: Python caches the ints only up to 256, and without this each
-# group of higher order would hold n ints of its own.
-_IDS = tuple(range(ORDER_CAP))
 
 # The number of groups of each order up to isomorphism, indexed by order
 # (Besche, Eick & O'Brien, IJAC 12, 2002; OEIS A000001).  A catalog that
@@ -54,16 +50,6 @@ class CayleyTableError(ValueError):
     """External Cayley table violating the group axioms."""
 
 
-class CyclicClass(NamedTuple):
-    """The elements generating one cyclic subgroup, with the classes whose
-    subgroups contain it or lie inside it (itself included), as a bitmask
-    over class indices, and the power-graph degree each member has."""
-
-    members: tuple[int, ...]
-    comparable: int
-    degree: int
-
-
 class Group:
     """Immutable-by-convention finite group on identifiers 0..n-1.
 
@@ -73,26 +59,28 @@ class Group:
 
     One walk over each cyclic subgroup gives every per-element fact: the
     generators of <x> are the powers x^j with gcd(j, |x|) = 1, each has
-    order |x| and inverse x^(|x| - j).  The walk also gives
-    ``cyclic_classes``, the partition of the elements by the cyclic
-    subgroup they generate, indexed by least member so that the identity's
-    class comes first.  x and y are adjacent in the power graph exactly
-    when their classes are comparable, so each class is a clique of twins.
-    A member x of a class is adjacent to the rest of <x> and to the
-    generators of every larger cyclic subgroup containing x, which gives
-    the class its degree.  x^t generates <x^gcd(t, |x|)>, so the classes
-    inside <x> are those of x^d for the divisors d of |x|.
+    order |x| and inverse x^(|x| - j).  The walk also gives the cyclic
+    classes, the partition of the elements by the cyclic subgroup they
+    generate, indexed by least member so that the identity's class comes
+    first.  x and y are adjacent in the power graph exactly when their
+    classes are comparable, so each class is a clique of twins.  A member
+    x of a class is adjacent to the rest of <x> and to the generators of
+    every larger cyclic subgroup containing x, which gives the class its
+    degree.  x^t generates <x^gcd(t, |x|)>, so the classes inside <x> are
+    those of x^d for the divisors d of |x|.
 
-    The group keeps what the walk found: the powers of each class's least
-    member r in power order, in one flat row with an offset per class, and
-    per element x its class and the exponent e with x = r^e.  These class
-    rows are ``bytes`` up to order 256 and ``array('H')`` above; the offsets
-    are ``array('I')``.  ``cyclic_subgroup`` reads them, so a product
-    reads its factors' powers without walking them again.
+    The group keeps, per element, ``orders``, ``inv``, its class and the
+    exponent e with x = r^e for r its class's least member; per class,
+    ``degree`` and the bitmask ``comparable`` over class indices; the
+    members of every class, in one row sliced by ``members(i)``; and the
+    powers of each r in power order, in one flat row that
+    ``cyclic_subgroup`` reads, so a product does not walk its factors
+    again.  Every row but ``comparable`` is ``bytes`` while its values fit
+    a byte and a read-only view of an array above, so no row is written.
     """
 
     __slots__ = ("n", "label", "_mul", "_flat", "_starts", "_class", "_exponent",
-                 "inv", "orders", "cyclic_classes")
+                 "orders", "inv", "_members", "_offsets", "degree", "comparable")
 
     def __init__(self, mul, label: str, n: int | None = None, powers=None):
         n = n or len(mul)
@@ -102,49 +90,46 @@ class Group:
         self.label = label
         self._mul = mul
         walk = powers or partial(_powers, lambda x, s: mul[x][s], n)
-        # above order 256 the rows are typed from the start, so the walk
-        # keeps no int object per element or per power while it runs
-        small = n <= 256
-        orders = [0] * n
-        inv = [0] * n
-        class_of = bytearray(n) if small else array("H", bytes(2 * n))
-        exponent = class_of[:]
-        flat = [] if small else array("H")
-        starts = [0]
-        members: list[tuple[int, ...]] = []
+        # the rows are typed from the start, so the walk keeps no int object
+        # per element or per power while it runs
+        orders = _typed([0] * n, n)
+        inv, class_of, exponent = (_typed([0] * n, n - 1) for _ in range(3))
+        flat = _typed([], n - 1)
+        starts, sizes = [0], []
         for x in range(n):
             if orders[x]:
                 continue
             powers = walk(x)
-            k, i = len(powers), len(members)
+            k, i = len(powers), len(sizes)
             units = _units(k)
-            gens = [_IDS[powers[j]] for j in units]
+            gens = [powers[j] for j in units]
             # j and k - j are units together, so gens[-1 - u] inverts gens[u]
             for j, y, y_inv in zip(units, gens, reversed(gens)):
                 class_of[y] = i
                 exponent[y] = j
                 orders[y] = k
                 inv[y] = y_inv
-            members.append(tuple(sorted(gens)))
+            sizes.append(len(units))
             flat.extend(powers)
             starts.append(len(flat))
-        comparable = [0] * len(members)
+        comparable = [0] * len(sizes)
         degree = [b - a - 1 for a, b in zip(starts, starts[1:])]
-        for i, cl in enumerate(members):
+        for i, size in enumerate(sizes):
             a, k = starts[i], starts[i + 1] - starts[i]
             for d in _divisors(k):
                 j = class_of[flat[a + d % k]]
                 comparable[i] |= 1 << j
                 comparable[j] |= 1 << i
                 if j != i:
-                    degree[j] += len(cl)
-        if small:
-            flat, class_of, exponent = bytes(flat), bytes(class_of), bytes(exponent)
-        self._flat, self._starts = flat, array("I", starts)
-        self._class, self._exponent = class_of, exponent
-        self.orders = tuple(orders)
-        self.inv = tuple(inv)
-        self.cyclic_classes = tuple(map(CyclicClass, members, comparable, degree))
+                    degree[j] += size
+        # one stable sort orders the members by class, then by id
+        members = _typed(sorted(range(n), key=class_of.__getitem__), n - 1)
+        offsets = _typed(itertools.accumulate(sizes, initial=0), n)
+        (self.orders, self.inv, self._class, self._exponent, self._flat, self._starts,
+         self._members, self._offsets, self.degree) = map(_frozen, (
+             orders, inv, class_of, exponent, flat, array("I", starts),
+             members, offsets, _typed(degree, n - 1)))
+        self.comparable = tuple(comparable)
 
     @property
     def mul(self):
@@ -152,6 +137,10 @@ class Group:
         if callable(self._mul):
             self._mul = self._mul()
         return self._mul
+
+    def members(self, i: int):
+        """The members of class i, ascending, as a read-only row."""
+        return self._members[self._offsets[i]:self._offsets[i + 1]]
 
     def cyclic_subgroup(self, x: int) -> list[int]:
         """Members of <x> in power order starting at the identity."""
@@ -186,6 +175,16 @@ def _powers(right, n: int, x: int) -> list[int]:
     return members
 
 
+def _typed(values, top: int):
+    """A row of values in 0..top: a bytearray if top fits a byte, else array('H')."""
+    return bytearray(values) if top < 256 else array("H", values)
+
+
+def _frozen(row):
+    """A row made read-only: ``bytes``, or a read-only view of an array."""
+    return bytes(row) if isinstance(row, bytearray) else memoryview(row).toreadonly()
+
+
 @lru_cache(maxsize=None)
 def _units(k: int) -> array:
     """The j in 0..k-1 with gcd(j, k) = 1, ascending: the exponents of the
@@ -218,7 +217,7 @@ def is_generalized_quaternion(g: Group) -> bool:
     n = g.n
     if n < 8 or n & (n - 1):
         return False
-    return not is_cyclic(g) and g.orders.count(2) == 1
+    return not is_cyclic(g) and len(involutions(g)) == 1
 
 
 # ── family constructors ──────────────────────────────────────────────────────
@@ -268,19 +267,28 @@ def _window_right(ds: tuple[int, ...], z: int | None, x: int, s: int) -> int:
     return (t ^ u) * h + c
 
 
-def _window_powers(ds: tuple[int, ...], z: int | None, x: int) -> list[int]:
-    """Powers in the group of ``_window_right(ds, z)``: those of x^a are
-    the multiples t*a, digit by digit in the mixed radix; x^a y squares to
-    z, so its powers are [0, x^a y], or [0, x^a y, z, x^(a+z) y] if z != 0."""
-    weights = [prod(ds[i + 1:]) for i in range(len(ds))]
-    h = ds[0] * weights[0]
+def _window_digits(ds: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Each digit's radix d and weight w (the product of the later radices)."""
+    weights = list(itertools.accumulate(reversed(ds[1:]), int.__mul__, initial=1))
+    return tuple(zip(ds, reversed(weights)))
+
+
+def _window_powers(digits: tuple[tuple[int, int], ...], z: int | None, x: int) -> list[int]:
+    """Powers in the group of ``_window_right(ds, z)``, given the digits of
+    ds (``_window_digits``): those of x^a are the multiples t*a, digit by
+    digit in the mixed radix, each nonzero digit's period repeated to the
+    order; x^a y squares to z, so its powers are [0, x^a y], or [0, x^a y,
+    z, x^(a+z) y] if z != 0."""
+    h = digits[0][0] * digits[0][1]
     if x >= h:
-        az = sum(((x - h) // w + z // w) % d * w for w, d in zip(weights, ds)) if z else 0
+        az = sum(((x - h) // w + z // w) % d * w for d, w in digits) if z else 0
         return [0, x, z, h + az] if z else [0, x]
-    xs = [x // w % d for w, d in zip(weights, ds)]
-    k = lcm(*(d // gcd(a, d) for a, d in zip(xs, ds)))
-    return list(reduce(partial(map, add), ([t * a % d * w for t in range(k)]
-                                           for a, d, w in zip(xs, ds, weights))))
+    periods = [[t * a % d * w for t in range(d // gcd(a, d))]
+               for d, w in digits if (a := x // w % d)]
+    if not periods:
+        return [0]
+    k = lcm(*map(len, periods))
+    return list(reduce(partial(map, add), (p * (k // len(p)) for p in periods)))
 
 
 @lru_cache(maxsize=None)
@@ -395,8 +403,8 @@ def _construct(spec: str, tree) -> Group:
             _check_cap(n := _order(tree))
             kind, *args = tree
             powers = (partial(_product_powers, *(_construct(*f) for f in args)) if kind == "prod"
-                      else partial(_window_powers, *args) if kind == "window"
-                      else partial(_powers, _right(tree), n))
+                      else partial(_window_powers, _window_digits(args[0]), args[1])
+                      if kind == "window" else partial(_powers, _right(tree), n))
             _group_cache[spec] = Group(partial(_build_table, tree), spec, n, powers)
     return _group_cache[spec]
 
@@ -535,18 +543,14 @@ def _conjugacy_class_sizes(g: Group, gens: list[int]) -> list[int]:
 
 def _vertex_profiles(g: Group, gens: list[int]) -> list[tuple[int, int, int]]:
     """Per element: its order, power-graph degree and conjugacy class size."""
-    sizes = _conjugacy_class_sizes(g, gens)
-    profiles = [(0, 0, 0)] * g.n
-    for cl in g.cyclic_classes:
-        for x in cl.members:
-            profiles[x] = (g.orders[x], cl.degree, sizes[x])
-    return profiles
+    degrees = map(g.degree.__getitem__, g._class)
+    return list(zip(g.orders, degrees, _conjugacy_class_sizes(g, gens)))
 
 
 def group_fingerprint(g: Group) -> tuple:
     """Cheap isomorphism-invariant summary: sorted element orders plus the
     sorted power-graph degree sequence."""
-    degrees = sorted(cl.degree for cl in g.cyclic_classes for _ in cl.members)
+    degrees = sorted(map(g.degree.__getitem__, g._class))
     return (tuple(sorted(g.orders)), tuple(degrees))
 
 

@@ -391,14 +391,13 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph,
 
     covered = {x for e in edges for x in e}
     inv = g.inv
-    for cl in g.cyclic_classes:  # the group's own int objects, not new ones
-        for x in cl.members:
-            if x in covered:
-                continue
-            if x == inv[x]:
-                raise ValueError(f"leftover vertex {x} is self-inverse")
-            if x < inv[x]:
-                edges.append((x, inv[x]))
+    for x in range(g.n):
+        if x in covered:
+            continue
+        if x == inv[x]:
+            raise ValueError(f"leftover vertex {x} is self-inverse")
+        if x < inv[x]:
+            edges.append((x, inv[x]))
     result = Matching.from_edges(edges)
     result.validate(gr)
     if not result.is_perfect(g.n):
@@ -428,15 +427,15 @@ class ClassEdges(NamedTuple):
 
     def has_edge(self, u: int, v: int) -> bool:
         of = self.g._class
-        return u != v and bool(self.g.cyclic_classes[of[u]].comparable >> of[v] & 1)
+        return u != v and bool(self.g.comparable[of[u]] >> of[v] & 1)
 
 
 def _odd_components_without(g: Group, removed: int) -> int:
     """The number of odd components of the power graph of g less the
     classes in the bitmask ``removed``, read from the cyclic classes:
     every other class, joined when comparable, each weighing its size."""
-    classes = g.cyclic_classes
-    unseen = (1 << len(classes)) - 1 & ~removed
+    comparable = g.comparable
+    unseen = (1 << len(comparable)) - 1 & ~removed
     odd = 0
     while unseen:
         component = frontier = unseen & -unseen
@@ -444,8 +443,8 @@ def _odd_components_without(g: Group, removed: int) -> int:
         while frontier:
             reach = 0
             for i in _bits(frontier):
-                reach |= classes[i].comparable
-                size += len(classes[i].members)
+                reach |= comparable[i]
+                size += len(g.members(i))
             frontier = reach & unseen & ~component
             component |= frontier
         unseen &= ~component
@@ -461,7 +460,7 @@ def barrier_surplus(g: Group, barrier) -> int:
     removed = 0
     for x in barrier:
         removed |= 1 << g._class[x]
-    size = sum(len(g.cyclic_classes[i].members) for i in _bits(removed))
+    size = sum(len(g.members(i)) for i in _bits(removed))
     return _odd_components_without(g, removed) - size
 
 
@@ -472,23 +471,24 @@ def _gadget(g: Group) -> tuple[SimpleGraph, list[int], int]:
     its index xor 1, and the greedy start of the blossom matches every pair
     to itself.  The end nodes follow, one per class of size 1, the
     identity's first."""
-    classes = g.cyclic_classes
-    ends = [i for i, cl in enumerate(classes) if len(cl.members) == 1]
+    comparable = g.comparable
+    sizes = [len(g.members(i)) for i in range(len(comparable))]
+    ends = [i for i, size in enumerate(sizes) if size == 1]
     passes = len(ends) // 2 - 1
     node_class = []
-    for i, cl in enumerate(classes):
-        if len(cl.members) > 1:
-            node_class += [i] * (2 * min(len(cl.members) // 2, passes))
+    for i, size in enumerate(sizes):
+        if size > 1:
+            node_class += [i] * (2 * min(size // 2, passes))
     first_end = len(node_class)
     node_class += ends
-    nodes = [0] * len(classes)
+    nodes = [0] * len(comparable)
     for u, i in enumerate(node_class):
         nodes[i] |= 1 << u
     present = sum(1 << i for i, mask in enumerate(nodes) if mask)
     rows = {}
     for i in _bits(present):
         row = 0
-        for j in _bits(classes[i].comparable & present & ~(1 << i)):
+        for j in _bits(comparable[i] & present & ~(1 << i)):
             row |= nodes[j]
         rows[i] = row
     gadget = SimpleGraph(len(node_class))
@@ -506,7 +506,6 @@ def _lift(g: Group, node_class: list[int], first_end: int,
     classes it passes are loop-erased, so each is passed once, and a pass
     through class i takes the next unused pair x, x^-1 of it.  The
     identity's walk is cut to its end edge."""
-    classes = g.cyclic_classes
     spare: dict[int, list[tuple[int, int]]] = {}
     reached: set[int] = set()
     paths = []
@@ -523,13 +522,12 @@ def _lift(g: Group, node_class: list[int], first_end: int,
                 passed.append(i)
             u = match[u ^ 1]
         reached.add(u)
-        vertices = [classes[node_class[t]].members[0]]
+        vertices = [g.members(node_class[t])[0]]
         for i in passed if t > first_end else ():
             if i not in spare:
-                spare[i] = [(x, g.inv[x]) for x in reversed(classes[i].members)
-                            if x < g.inv[x]]
+                spare[i] = [(x, g.inv[x]) for x in reversed(g.members(i)) if x < g.inv[x]]
             vertices += spare[i].pop()
-        vertices.append(classes[node_class[u]].members[0])
+        vertices.append(g.members(node_class[u])[0])
         paths.append(tuple(vertices))
     return tuple(paths)
 
@@ -590,8 +588,7 @@ def check_theorem44(g: Group) -> Theorem44Report:
     gadget, node_class, first_end = _gadget(g)
     match, inner = _blossom(gadget)
     if -1 in match:
-        classes = g.cyclic_classes
-        barrier = tuple(sorted({classes[node_class[u]].members[0] for u in _bits(inner)}))
+        barrier = tuple(sorted({g.members(node_class[u])[0] for u in _bits(inner)}))
         if barrier_surplus(g, barrier) <= 0:
             raise AssertionError(f"{g.label}: the gadget's barrier {barrier} "
                                  f"is no barrier of the power graph")

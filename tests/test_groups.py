@@ -195,8 +195,8 @@ def test_family_orders():
 def test_element_orders():
     z12 = construct_group("Z12")
     from math import gcd
-    assert z12.orders == tuple(12 // gcd(12, k) for k in range(12))
-    assert z12.inv == tuple(-k % 12 for k in range(12))
+    assert list(z12.orders) == [12 // gcd(12, k) for k in range(12)]
+    assert list(z12.inv) == [-k % 12 for k in range(12)]
     s4 = construct_group("S4")
     from collections import Counter
     assert Counter(s4.orders) == {1: 1, 2: 9, 3: 8, 4: 6}
@@ -209,7 +209,7 @@ def test_orders_and_inverses_match_oracle():
     groups += [construct_group(spec) for spec in
                ("Z1680", "D600", "Dic300", "S6", "Ab[2,2,4,60]")]
     for g in groups:
-        assert (g.orders, g.inv) == orders_and_inverses_brute(g), g.label
+        assert (tuple(g.orders), tuple(g.inv)) == orders_and_inverses_brute(g), g.label
 
 
 def test_group_rejects_powers_missing_the_identity():
@@ -240,10 +240,19 @@ def test_cyclic_subgroup_and_generation():
     assert powers[:2] == [0, rotation] and len(powers) == 4
     assert d8.cyclic_subgroup(powers[2]) == [0, powers[2]]
     assert d8.cyclic_subgroup(d8.inv[rotation]) == [0, powers[3], powers[2], rotation]
-    with pytest.raises(AttributeError):
-        z12.cyclic_classes[1].degree = 0
+    # every row of the walk is read-only, below order 256 and above
+    for g in (z12, construct_group("Z1680")):
+        for row in (g.degree, g.orders, g.inv, g.members(1)):
+            with pytest.raises(TypeError):
+                row[0] = 0
     with pytest.raises(AttributeError):
         catalog_for_order(8).complete = False
+
+
+def _class_rows(g):
+    """What the walk keeps of g's elements and cyclic classes."""
+    return (g.orders, g.inv, g.degree, g.comparable,
+            [g.members(i) for i in range(len(g.comparable))])
 
 
 def test_family_powers_agree_with_the_table(tmp_path):
@@ -262,7 +271,7 @@ def test_family_powers_agree_with_the_table(tmp_path):
             for x in range(g.n):
                 assert g.cyclic_subgroup(x) == table_powers(g.mul, x), (spec, x)
             h = Group(g.mul, spec)
-            assert (g.orders, g.inv, g.cyclic_classes) == (h.orders, h.inv, h.cyclic_classes), spec
+            assert _class_rows(g) == _class_rows(h), spec
 
 
 def test_table_free_work_builds_no_table(monkeypatch):
@@ -288,24 +297,25 @@ def test_cyclic_classes_partition_and_comparability():
     # and each class's degree is its members' power-graph degree
     for m in range(1, 25):
         for g in catalog_for_order(m).groups:
-            classes = g.cyclic_classes
-            assert classes is g.cyclic_classes
+            classes = range(len(g.comparable))
+            assert g.comparable is g.comparable and g.degree is g.degree
             class_of = {}
-            for i, cl in enumerate(classes):
-                assert list(cl.members) == sorted(cl.members)
-                subgroup = set(g.cyclic_subgroup(cl.members[0]))
-                for x in cl.members:
+            for i in classes:
+                members = g.members(i)
+                assert list(members) == sorted(members)
+                subgroup = set(g.cyclic_subgroup(members[0]))
+                for x in members:
                     assert set(g.cyclic_subgroup(x)) == subgroup, g.label
                     class_of[x] = i
             assert sorted(class_of) == list(range(g.n))
-            assert classes[0].members == (0,)
+            assert list(g.members(0)) == [0]
             edges = power_graph_edges_brute(g)
-            for cl in classes:
-                for x in cl.members:
-                    assert cl.degree == sum(x in e for e in edges), (g.label, x)
+            for i in classes:
+                for x in g.members(i):
+                    assert g.degree[i] == sum(x in e for e in edges), (g.label, x)
             for x in range(g.n):
                 for y in range(x + 1, g.n):
-                    comparable = bool(classes[class_of[x]].comparable
+                    comparable = bool(g.comparable[class_of[x]]
                                       >> class_of[y] & 1)
                     assert comparable == (frozenset((x, y)) in edges), (g.label, x, y)
 
@@ -859,12 +869,12 @@ def test_catalog_pairwise_nonisomorphic():
 
 def test_class_walk_keeps_no_int_per_element():
     # the walk's rows take their final type from the start: bytes up to
-    # order 256, array('H') above.  Z1680's walk visits 5,952 powers; a
-    # list holding an int object for each takes its build to about 360 KB
-    # traced, where the typed rows take about 140 KB
+    # order 256, array('H') above, kept behind a read-only view.  Z1680's
+    # walk visits 5,952 powers; a list holding an int object for each takes
+    # its build to about 360 KB traced, where the typed rows take about 140 KB
     import tracemalloc
 
-    for spec, kind in (("Q16", bytes), ("Z256", bytes), ("Z258", array)):
+    for spec, kind in (("Q16", bytes), ("Z256", bytes), ("Z258", memoryview)):
         g = construct_group(spec)
         assert {type(g._flat), type(g._class), type(g._exponent)} == {kind}, spec
     groups._group_cache.pop("Z1680", None)
@@ -874,5 +884,21 @@ def test_class_walk_keeps_no_int_per_element():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g._flat.typecode == "H" and len(g._flat) == 5952
+    assert g._flat.format == "H" and len(g._flat) == 5952
     assert peak < 250 * 1024
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Ab[2,2,2,2]", "Z1680"])
+def test_group_rows_are_flat(spec):
+    # a row per element or per class, never a Python object per entry: every
+    # attribute of a fresh group whose length grows with the order or the
+    # class count is bytes or an array behind a view, but the class bitmasks
+    with patch.dict(groups._group_cache, clear=True):
+        g = construct_group(spec)
+    sized = {name for name in Group.__slots__
+             if hasattr(getattr(g, name), "__len__") and name != "label"}
+    assert {"orders", "inv", "degree", "_members", "_offsets"} <= sized
+    for name in sized - {"comparable"}:
+        row = getattr(g, name)
+        assert isinstance(row, (bytes, array, memoryview)), (spec, name, type(row))
+    assert len(g.comparable) == len(g.degree)

@@ -148,13 +148,11 @@ def _cmd_matching(args: argparse.Namespace) -> int:
 
 def _cmd_path_cover(args: argparse.Namespace) -> int:
     g = groups.construct_group(args.spec)
-    gr = graphs.power_graph(g).graph
-    m = matching.maximum_matching(gr)
-    if not m.is_perfect(g.n):
+    cover = matching.check_theorem44(g).cover if g.n % 2 == 0 else None
+    if cover is None:
         _emit(args, {"found": False, "group": g.label},
               "no perfect matching, so no inverse-closed path cover")
         return 1
-    cover = matching.path_cover_from_matching(g, gr, m)
     _emit(args, {"found": True, "group": g.label, "paths": cover},
           "\n".join(" ".join(map(str, p)) for p in cover))
     return 0

@@ -72,9 +72,10 @@ class DegreeReport(NamedTuple):
     holds: bool
 
 
-def check_embedding(pattern: SimpleGraph, host: SimpleGraph,
+def check_embedding(pattern: SimpleGraph, host: SimpleGraph | Group,
                     mapping: dict[int, int]) -> bool:
-    """Validate injectivity and edge preservation of a candidate map."""
+    """Validate injectivity and edge preservation of a candidate map; only
+    ``host.n`` and ``host.has_edge`` are read, so a group can be the host."""
     if sorted(mapping) != list(range(pattern.n)):
         return False
     if len(set(mapping.values())) != pattern.n:

@@ -12,8 +12,8 @@ the first read of ``mul``: by a product, the conjugacy classes or the
 isomorphism search.  Each family has one product x*s (``_right``).  One
 builder fills every table from it along the greedy-generator walk
 (``_walk``), the only closure under multiplication, in ``array('H')``
-rows at every order.  Power-graph degrees come from the cyclic classes,
-so nothing here builds a power graph.
+rows at every order.  Power-graph degrees and adjacency come from the
+cyclic classes, so nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ class Group:
     classes, the partition of the elements by the cyclic subgroup they
     generate, indexed by least member so that the identity's class comes
     first.  x and y are adjacent in the power graph exactly when their
-    classes are comparable, so each class is a clique of twins.  A member
-    x of a class is adjacent to the rest of <x> and to the generators of
-    every larger cyclic subgroup containing x, which gives the class its
-    degree.  x^t generates <x^gcd(t, |x|)>, so the classes inside <x> are
-    those of x^d for the divisors d of |x|.
+    classes are comparable, which ``has_edge`` reads, so each class is a
+    clique of twins.  A member x of a class is adjacent to the rest of <x>
+    and to the generators of every larger cyclic subgroup containing x,
+    which gives the class its degree.  x^t generates <x^gcd(t, |x|)>, so
+    the classes inside <x> are those of x^d for the divisors d of |x|.
 
     The group keeps, per element, ``orders``, ``inv``, its class and the
     exponent e with x = r^e for r its class's least member; per class,
@@ -141,6 +141,11 @@ class Group:
     def members(self, i: int):
         """The members of class i, ascending, as a read-only row."""
         return self._members[self._offsets[i]:self._offsets[i + 1]]
+
+    def has_edge(self, x: int, y: int) -> bool:
+        """Power-graph adjacency: x != y and their classes are comparable."""
+        of = self._class
+        return x != y and bool(self.comparable[of[x]] >> of[y] & 1)
 
     def cyclic_subgroup(self, x: int) -> list[int]:
         """Members of <x> in power order starting at the identity."""

@@ -16,10 +16,11 @@ nodes, each pair joined; nodes of distinct comparable classes are
 adjacent.  The power graph has a perfect matching exactly when the gadget
 does (the proof is in ``check_theorem44``).  A "yes" is lifted to an
 inverse-closed path cover and checked by rebuilding a perfect matching
-from it, with edges read from class comparability (``ClassEdges``).  A
-"no" carries a barrier S, a union of classes taken from the gadget's
-Hungarian trees, and ``barrier_surplus`` recounts the odd components of
-the power graph less S from the classes.
+from it.  Every certificate reads its edges from the group
+(``Group.has_edge``), so none needs a power graph.  A "no" carries a
+barrier S, a union of classes taken from the gadget's Hungarian trees,
+and ``barrier_surplus`` recounts the odd components of the power graph
+less S from the classes.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Matching(NamedTuple):
     def is_near_perfect(self, n: int) -> bool:
         return 2 * len(self.edges) == n - 1
 
-    def validate(self, gr: SimpleGraph) -> None:
+    def validate(self, gr: SimpleGraph | Group) -> None:
         for u, v in self.edges:
             if not gr.has_edge(u, v):
                 raise ValueError(f"matching edge ({u}, {v}) not present in the graph")
@@ -254,26 +255,26 @@ def near_perfect_matching_odd(g: Group) -> Matching:
 
 # ── inverse-closed paths ─────────────────────────────────────────────────────
 
-def _check_path_in_graph(gr: SimpleGraph, vertices: tuple[int, ...]) -> None:
+def _check_path_in_graph(g: Group, vertices: tuple[int, ...]) -> None:
     if len(set(vertices)) != len(vertices):
         raise ValueError(f"repeated vertex in path {vertices}")
     for a, b in zip(vertices, vertices[1:]):
-        if not gr.has_edge(a, b):
+        if not g.has_edge(a, b):
             raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
 
 
-def compress_path(g: Group, gr: SimpleGraph, u: tuple[int, ...]) -> tuple[int, ...]:
+def compress_path(g: Group, u: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an inverse-closed path into alternating (x, x^-1) shape.
 
     Walks the printed index bookkeeping: keep the first vertex, repeatedly
     jump past the position of the current vertex's inverse, and adjust the
     final anchor when the walk lands on the last vertex itself.  The input
-    must be a path of ``gr``, the power graph of g; the result visits a
-    subset of its vertices, keeps both endpoints, and stays a path of ``gr``.
+    must be a path of the power graph of g; the result visits a subset of
+    its vertices, keeps both endpoints, and stays a path.
     """
     if not u:
         raise ValueError("empty path")
-    _check_path_in_graph(gr, u)
+    _check_path_in_graph(g, u)
     members = set(u)
     for x in u:
         if g.orders[x] < 3:
@@ -298,9 +299,8 @@ def compress_path(g: Group, gr: SimpleGraph, u: tuple[int, ...]) -> tuple[int, .
     return tuple(out)
 
 
-def path_cover_from_matching(g: Group, gr: SimpleGraph,
-                             m: Matching) -> tuple[tuple[int, ...], ...]:
-    """Walk a perfect matching of the power graph ``gr`` of g into
+def path_cover_from_matching(g: Group, m: Matching) -> tuple[tuple[int, ...], ...]:
+    """Walk a perfect matching of the power graph of g into
     vertex-disjoint inverse-closed paths, each a tuple of vertices, whose
     endpoints are exactly the involutions plus the identity.
 
@@ -310,7 +310,7 @@ def path_cover_from_matching(g: Group, gr: SimpleGraph,
     """
     if g.n % 2:
         raise ValueError("path cover extraction needs even group order")
-    m.validate(gr)
+    m.validate(g)
     if not m.is_perfect(g.n):
         raise ValueError("matching is not perfect")
     partner: dict[int, int] = {}
@@ -337,9 +337,8 @@ def path_cover_from_matching(g: Group, gr: SimpleGraph,
     return tuple(paths)
 
 
-def matching_from_path_cover(g: Group, gr: SimpleGraph,
-                             cover: tuple[tuple[int, ...], ...]) -> Matching:
-    """Assemble a perfect matching of the power graph ``gr`` of g from a
+def matching_from_path_cover(g: Group, cover: tuple[tuple[int, ...], ...]) -> Matching:
+    """Assemble a perfect matching of the power graph of g from a
     path cover witnessing condition (iii): compress every identity-free
     path, take alternating edges, reduce the identity's path to a single
     endpoint edge, and pair every vertex left over with its inverse.
@@ -361,7 +360,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph,
     for p in cover:
         if len(p) < 2:
             raise ValueError(f"single-vertex path {p} not allowed")
-        _check_path_in_graph(gr, p)
+        _check_path_in_graph(g, p)
         vset = set(p)
         if seen & vset:
             raise ValueError(f"paths overlap at {sorted(seen & vset)}")
@@ -386,7 +385,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph,
         interior = v[1:-1]
         if len(interior) < 2:
             raise AssertionError(f"path {v} passed the checks with fewer than 2 interior vertices")
-        chain = (v[0],) + compress_path(g, gr, interior) + (v[-1],)
+        chain = (v[0],) + compress_path(g, interior) + (v[-1],)
         edges.extend((chain[j], chain[j + 1]) for j in range(0, len(chain), 2))
 
     covered = {x for e in edges for x in e}
@@ -399,7 +398,7 @@ def matching_from_path_cover(g: Group, gr: SimpleGraph,
         if x < inv[x]:
             edges.append((x, inv[x]))
     result = Matching.from_edges(edges)
-    result.validate(gr)
+    result.validate(g)
     if not result.is_perfect(g.n):
         raise AssertionError("assembled matching is not perfect")
     return result
@@ -415,19 +414,6 @@ class Theorem44Report(NamedTuple):
     matching: Matching | None
     cover: tuple[tuple[int, ...], ...] | None
     barrier: tuple[int, ...] | None
-
-
-class ClassEdges(NamedTuple):
-    """The power graph of g read from its cyclic classes: distinct x and y
-    are adjacent exactly when their classes are comparable.  It stands in
-    for the graph wherever only ``has_edge`` is read, so a certificate is
-    checked without building a row."""
-
-    g: Group
-
-    def has_edge(self, u: int, v: int) -> bool:
-        of = self.g._class
-        return u != v and bool(self.g.comparable[of[u]] >> of[v] & 1)
 
 
 def _odd_components_without(g: Group, removed: int) -> int:
@@ -571,7 +557,7 @@ def check_theorem44(g: Group) -> Theorem44Report:
       and lifts a pass through class i to an unused pair x, x^-1: there are
       s_i/2 of them, at least the c_i passes.  The result is a cover (iii),
       and ``matching_from_path_cover`` rebuilds a perfect matching of P from
-      it.  P and its matching are read from the classes (``ClassEdges``).
+      it, reading P's edges from the classes (``Group.has_edge``).
 
     The -1 in c_i keeps the gadget small: Z_n's has two nodes.  When the
     gadget has no perfect matching, the inner vertices of the Hungarian
@@ -594,5 +580,4 @@ def check_theorem44(g: Group) -> Theorem44Report:
                                  f"is no barrier of the power graph")
         return Theorem44Report(False, None, None, barrier)
     cover = _lift(g, node_class, first_end, match)
-    return Theorem44Report(True, matching_from_path_cover(g, ClassEdges(g), cover),
-                           cover, None)
+    return Theorem44Report(True, matching_from_path_cover(g, cover), cover, None)

@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .groups import catalog_for_order, construct_group
 from .matching import (
-    ClassEdges,
     barrier_surplus,
     check_theorem44,
     matching_from_path_cover,
@@ -216,7 +215,7 @@ def suite_kst(max_n: int | None = None) -> VerificationReport:
             if not is_kst_power_critical(s, t):
                 continue
             w = embed_kst_cyclic(s, t)
-            host = power_graph(construct_group(f"Z{s + t}")).graph
+            host = construct_group(f"Z{s + t}")
             yield check_embedding(complete_bipartite(s, t), host, w.as_dict()), \
                 f"(s,t)=({s},{t})"
 
@@ -260,9 +259,8 @@ def suite_matching(max_n: int | None = None) -> VerificationReport:
         for m in range(1, min(63, bound) + 1, 2):
             for g in catalog_for_order(m).groups:
                 npm = near_perfect_matching_odd(g)
-                gr = power_graph(g).graph
                 try:
-                    npm.validate(gr)
+                    npm.validate(g)
                 except ValueError as exc:
                     yield False, f"{g.label}: {exc}"
                     continue
@@ -325,8 +323,7 @@ def suite_thm44(max_n: int | None = None) -> VerificationReport:
                 try:
                     report = check_theorem44(g)
                     if report.optimal:
-                        ok = matching_from_path_cover(
-                            g, ClassEdges(g), report.cover) == report.matching
+                        ok = matching_from_path_cover(g, report.cover) == report.matching
                     else:
                         ok = barrier_surplus(g, report.barrier) > 0
                 except (ValueError, AssertionError) as exc:

@@ -182,7 +182,7 @@ def test_criterion_09_path_cover_pipeline():
                 continue
             checked += 1
             ubar = involutions(g) | {0}
-            cover = path_cover_from_matching(g, gr, mm)
+            cover = path_cover_from_matching(g, mm)
             seen: set[int] = set()
             for p in cover:
                 assert not seen & set(p)
@@ -191,14 +191,14 @@ def test_criterion_09_path_cover_pipeline():
                     assert gr.has_edge(a, b)
                 assert {g.inv[v] for v in p} == set(p)
             assert {x for p in cover for x in (p[0], p[-1])} == ubar
-            rebuilt = matching_from_path_cover(g, gr, cover)
+            rebuilt = matching_from_path_cover(g, cover)
             rebuilt.validate(gr)
             assert rebuilt.is_perfect(m)
             for p in cover:
                 if 0 in (p[0], p[-1]) or len(p) < 3:
                     continue
                 interior = p[1:-1]
-                out = compress_path(g, gr, interior)
+                out = compress_path(g, interior)
                 assert out[0] == interior[0]
                 assert out[-1] in (interior[-1], g.inv[interior[-1]])
                 assert set(out) <= set(interior)

@@ -82,6 +82,21 @@ def test_bad_argument_is_usage_error(capsys):
     assert code == 2
 
 
+def test_primes_past_the_factoring_bound_exit_2(capsys):
+    # trial division answers the largest prime below 10^13 in under a
+    # second, and refuses the least prime above it in one stderr line,
+    # where a 19-digit prime ran on for more than 20 s
+    below, past = 9999999999971, 10000000000037
+    for head, n, want in ((["chi"], below, below), (["rho"], below, below),
+                          (["theta-complete"], below, below),
+                          (["critical-kst", "2"], below - 2, "true")):
+        assert run(capsys, *head, str(n))[:2] == (0, f"{want}\n"), head
+        code, out, err = run(capsys, *head, str(n + past - below))
+        assert (code, out) == (2, ""), head
+        assert err == (f"error: cannot factor {past}: trial division leaves "
+                       f"{past}, not below 10^13\n"), head
+
+
 def test_unknown_command(capsys):
     code, _, err = run(capsys, "frobnicate", "1")
     assert code == 2
@@ -530,9 +545,8 @@ def _certificate_digest(capsys, bound):
 
 
 def test_certificate_output_unchanged(capsys):
-    # pinned as the output stood when paths and covers were records with a
-    # to_json method, so printing the plain tuples changes no byte
-    assert _certificate_digest(capsys, 64) == "4df186ed833c9be0"
+    # path-cover prints check-thm44's cover, lifted from the class gadget
+    assert _certificate_digest(capsys, 64) == "e0f49c3f25969061"
 
 
 # Runs main(argv) in a fresh interpreter, prints after the command's own
@@ -626,7 +640,7 @@ README_COLD_CALLS = [
     ("critical-kst 6 6", 1, ["false"]),
     ("kst-optimal 2 6", 0, ["Z8", "Q8"]),
     ("matching Z8", 0, ["perfect matching of size 4", "6 7"]),
-    ("path-cover Z12", 0, ["0 1 11 9 3 5 7 6"]),
+    ("path-cover Ab[2,6]", 0, ["0 9", "3 1 5 2 4 8 10 6"]),
     ("check-thm44 Q16 --json", 0, [
         '{"barrier": null, "cover": [[0, 4]], "group": "Q16", "matching": '
         '[[0, 4], [1, 7], [2, 6], [3, 5], [8, 12], [9, 13], [10, 14], '

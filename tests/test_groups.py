@@ -320,6 +320,17 @@ def test_cyclic_classes_partition_and_comparability():
                     assert comparable == (frozenset((x, y)) in edges), (g.label, x, y)
 
 
+def test_has_edge_is_power_graph_adjacency():
+    # every ordered pair, each element with itself included, against powers
+    # taken in the table
+    specs = ("Prod(Z3,D8)", "S4", "Q16")
+    for g in [g for m in range(1, 33) for g in catalog_for_order(m).groups] + [
+            construct_group(spec) for spec in specs]:
+        edges = power_graph_edges_brute(g)
+        assert all(g.has_edge(x, y) == (frozenset((x, y)) in edges)
+                   for x in range(g.n) for y in range(g.n)), g.label
+
+
 def test_products_and_isomorphism():
     assert are_isomorphic(construct_group("Prod(Z3,Z4)"), construct_group("Z12"))
     assert are_isomorphic(construct_group("Prod(Z2,Z6)"), construct_group("Ab[2,6]"))

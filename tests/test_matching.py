@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import powerindex.graphs as graphs
 import powerindex.matching as matching
 import powerindex.verify as verify_module
+from powerindex.cli import main
 from powerindex.graphs import SimpleGraph, _bits, power_graph
 from powerindex.groups import catalog_for_order, construct_group, involutions
 from powerindex.matching import (
-    ClassEdges,
     Matching,
     barrier_surplus,
     check_theorem44,
@@ -180,19 +180,19 @@ def test_near_perfect_matching_odd():
 
 def test_compress_path_fixed_point():
     z5 = construct_group("Z5")
-    assert compress_path(z5, power_graph(z5).graph, (2, 3)) == (2, 3)
+    assert compress_path(z5, (2, 3)) == (2, 3)
 
 
 def test_compress_path_z5_trace():
     # (a, b, b^-1, a^-1) with a=1, b=2 collapses to the endpoint pair
     z5 = construct_group("Z5")
-    assert compress_path(z5, power_graph(z5).graph, (1, 2, 3, 4)) == (1, 4)
+    assert compress_path(z5, (1, 2, 3, 4)) == (1, 4)
 
 
 def test_compress_path_z9_landing_swap():
     # the walk lands exactly on the last vertex, forcing the final swap
     z9 = construct_group("Z9")
-    assert compress_path(z9, power_graph(z9).graph, (1, 6, 8, 3)) == (1, 8, 6, 3)
+    assert compress_path(z9, (1, 6, 8, 3)) == (1, 8, 6, 3)
 
 
 def _inverse_closed_paths(g, gr, max_len):
@@ -224,7 +224,7 @@ def test_compress_path_properties_by_enumeration():
         paths = _inverse_closed_paths(g, gr, max_len)
         assert paths, spec
         for vertices in paths:
-            out = compress_path(g, gr, vertices)
+            out = compress_path(g, vertices)
             assert set(out) <= set(vertices), (spec, vertices)
             # still a path of the power graph
             for a, b in zip(out, out[1:]):
@@ -239,20 +239,19 @@ def test_compress_path_properties_by_enumeration():
 
 def test_compress_path_rejects_bad_inputs():
     z12 = construct_group("Z12")
-    gr = power_graph(z12).graph
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, gr, (6,))
+        compress_path(z12, (6,))
     with pytest.raises(ValueError, match="order"):
-        compress_path(z12, gr, (0, 1))
+        compress_path(z12, (0, 1))
     z5 = construct_group("Z5")
     with pytest.raises(ValueError, match="inverse-closed"):
-        compress_path(z5, power_graph(z5).graph, (1, 2))
+        compress_path(z5, (1, 2))
     with pytest.raises(ValueError, match="adjacent"):
-        compress_path(z12, gr, (3, 9, 4, 8))
+        compress_path(z12, (3, 9, 4, 8))
     with pytest.raises(ValueError, match="repeated"):
-        compress_path(z12, gr, (1, 11, 1, 11))
+        compress_path(z12, (1, 11, 1, 11))
     with pytest.raises(ValueError):
-        compress_path(z12, gr, ())
+        compress_path(z12, ())
 
 
 # ── path covers ──────────────────────────────────────────────────────────────
@@ -261,7 +260,7 @@ def test_path_cover_cyclic_even():
     for n in range(2, 17):
         g = construct_group(f"Z{2 * n}")
         gr = power_graph(g).graph
-        cover = path_cover_from_matching(g, gr, maximum_matching(gr))
+        cover = path_cover_from_matching(g, maximum_matching(gr))
         assert len(cover) == 1
         assert {cover[0][0], cover[0][-1]} == {0, n}
 
@@ -269,7 +268,7 @@ def test_path_cover_cyclic_even():
 def test_path_cover_q8():
     g = construct_group("Q8")
     gr = power_graph(g).graph
-    cover = path_cover_from_matching(g, gr, maximum_matching(gr))
+    cover = path_cover_from_matching(g, maximum_matching(gr))
     assert len(cover) == 1
     assert {cover[0][0], cover[0][-1]} == {0, 2}
 
@@ -280,10 +279,10 @@ def test_path_cover_rejects_bad_inputs():
     not_perfect = maximum_matching(gr)
     assert not not_perfect.is_perfect(8)
     with pytest.raises(ValueError, match="perfect"):
-        path_cover_from_matching(d8, gr, not_perfect)
+        path_cover_from_matching(d8, not_perfect)
     z7 = construct_group("Z7")
     with pytest.raises(ValueError, match="even"):
-        path_cover_from_matching(z7, power_graph(z7).graph, Matching.from_edges([]))
+        path_cover_from_matching(z7, Matching.from_edges([]))
 
 
 def test_path_cover_properties_across_catalog():
@@ -293,7 +292,7 @@ def test_path_cover_properties_across_catalog():
             mm = maximum_matching(gr)
             if not mm.is_perfect(g.n):
                 continue
-            cover = path_cover_from_matching(g, gr, mm)
+            cover = path_cover_from_matching(g, mm)
             invs = involutions(g)
             assert len(cover) == (len(invs) + 1) // 2, g.label
             seen = set()
@@ -315,7 +314,7 @@ def test_path_cover_properties_across_catalog():
 def test_matching_from_hand_built_cover():
     g = construct_group("Z12")
     cover = ((0, 6),)
-    m = matching_from_path_cover(g, power_graph(g).graph, cover)
+    m = matching_from_path_cover(g, cover)
     assert m.is_perfect(12)
     assert m.edges == ((0, 6), (1, 11), (2, 10), (3, 9), (4, 8), (5, 7))
 
@@ -327,27 +326,25 @@ def test_matching_from_cover_round_trip():
             mm = maximum_matching(gr)
             if not mm.is_perfect(g.n):
                 continue
-            cover = path_cover_from_matching(g, gr, mm)
-            rebuilt = matching_from_path_cover(g, gr, cover)
+            cover = path_cover_from_matching(g, mm)
+            rebuilt = matching_from_path_cover(g, cover)
             assert rebuilt.is_perfect(g.n), g.label
             rebuilt.validate(gr)
 
 
 def test_matching_from_cover_rejects_bad_covers():
     z12 = construct_group("Z12")
-    gr12 = power_graph(z12).graph
     with pytest.raises(ValueError, match="endpoint"):
-        matching_from_path_cover(z12, gr12, ((1, 11),))
+        matching_from_path_cover(z12, ((1, 11),))
     with pytest.raises(ValueError, match="paths"):
-        matching_from_path_cover(z12, gr12, ((0, 6), (1, 11)))
+        matching_from_path_cover(z12, ((0, 6), (1, 11)))
     with pytest.raises(ValueError, match="single-vertex"):
-        matching_from_path_cover(z12, gr12, ((0,),))
+        matching_from_path_cover(z12, ((0,),))
     q8 = construct_group("Q8")
-    gr8 = power_graph(q8).graph
     # (0, 1, 3, 2) is a legitimate cover: {1, 3} are mutual inverses
-    assert matching_from_path_cover(q8, gr8, ((0, 1, 3, 2),)).is_perfect(8)
+    assert matching_from_path_cover(q8, ((0, 1, 3, 2),)).is_perfect(8)
     with pytest.raises(ValueError, match="inverse-closed"):
-        matching_from_path_cover(q8, gr8, ((2, 5),))
+        matching_from_path_cover(q8, ((2, 5),))
 
 
 def test_shortest_identity_free_paths():
@@ -357,12 +354,11 @@ def test_shortest_identity_free_paths():
     # for the catalog up to order 64 is shorter than 8 vertices, as
     # Ab[2,6]'s 3, 1, 5, 2, 4, 8, 10, 6
     g = construct_group("Ab[2,6]")
-    gr = power_graph(g).graph
     for short in ((6, 9), (6, 8, 9), (6, 2, 9)):
         with pytest.raises(ValueError):
-            matching_from_path_cover(g, gr, ((0, 3), short))
+            matching_from_path_cover(g, ((0, 3), short))
     cover = ((0, 3), (6, 8, 10, 2, 4, 11, 7, 9))
-    m = matching_from_path_cover(g, gr, cover)
+    m = matching_from_path_cover(g, cover)
     assert m.is_perfect(12)
     assert (0, 3) in m.edges and (1, 5) in m.edges
 
@@ -386,7 +382,8 @@ def _check_certificate(g, report, gr):
         assert report.barrier is None, g.label
         assert report.matching.is_perfect(g.n), g.label
         report.matching.validate(gr)
-        assert matching_from_path_cover(g, gr, report.cover) == report.matching
+        assert all(gr.has_edge(a, b) for p in report.cover for a, b in zip(p, p[1:]))
+        assert matching_from_path_cover(g, report.cover) == report.matching
     else:
         assert report.matching is None and report.cover is None, g.label
         removed = {x for lead in report.barrier for x in g.members(g._class[lead])}
@@ -422,7 +419,7 @@ def test_check_theorem44_agrees_with_the_blossom_on_large_groups(spec):
     report = check_theorem44(g)
     assert report.optimal == maximum_matching(power_graph(g).graph).is_perfect(g.n)
     if report.optimal:
-        assert matching_from_path_cover(g, ClassEdges(g), report.cover) == report.matching
+        assert matching_from_path_cover(g, report.cover) == report.matching
     else:
         assert barrier_surplus(g, report.barrier) > 0
 
@@ -472,26 +469,15 @@ def test_a_forged_barrier_is_rejected(monkeypatch):
     assert claim.counterexample == f"{g.label}: the barrier does not check"
 
 
-def test_class_edges_match_the_power_graph():
-    for spec in ("Z12", "Q16", "Ab[2,6]", "D12", "S4", "Prod(Z3,D8)"):
-        g = construct_group(spec)
-        gr, edges = power_graph(g).graph, ClassEdges(g)
-        assert all(edges.has_edge(u, v) == gr.has_edge(u, v)
-                   for u in range(g.n) for v in range(g.n)), spec
-
-
 def test_a_cover_across_incomparable_classes_is_rejected():
     # Ab[2,6]: the involution 6 and the elements of order 3 generate no
     # nested subgroups, so a path stepping from 6 into them is no path
     g = construct_group("Ab[2,6]")
-    edges = ClassEdges(g)
     x = next(x for x in range(g.n) if g.orders[x] == 3)
-    assert not edges.has_edge(6, x)
+    assert not g.has_edge(6, x) and not power_graph(g).graph.has_edge(6, x)
     cover = ((0, 3), (6, x, g.inv[x], 9))
     with pytest.raises(ValueError, match="not adjacent"):
-        matching_from_path_cover(g, edges, cover)
-    with pytest.raises(ValueError, match="not adjacent"):
-        matching_from_path_cover(g, power_graph(g).graph, cover)
+        matching_from_path_cover(g, cover)
 
 
 def _count_power_graphs(monkeypatch) -> list[str]:
@@ -521,6 +507,30 @@ def test_check_theorem44_builds_no_power_graph(monkeypatch):
             assert barrier == (report.barrier == (0,)), g.label
             outcomes.add((barrier, report.optimal))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_path_cover_prints_the_theorem44_cover(monkeypatch, capsys):
+    # path-cover prints check-thm44's cover and builds no power graph and
+    # runs no element blossom; its exit code is still the blossom's answer
+    def cli_json(*argv):
+        code = main([*argv, "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    calls = _count_power_graphs(monkeypatch)
+    blossoms = []
+    monkeypatch.setattr(matching, "maximum_matching", blossoms.append)
+    for m in range(2, 65, 2):
+        for g in catalog_for_order(m).groups:
+            code, payload = cli_json("path-cover", g.label)
+            assert calls == [] and blossoms == [], g.label
+            _, report = cli_json("check-thm44", g.label)
+            assert payload.get("paths") == report["cover"], g.label
+            perfect = maximum_matching(power_graph(g).graph).is_perfect(g.n)
+            assert code == (0 if perfect else 1), g.label
+    assert main(["path-cover", "Z7"]) == 1
+    assert capsys.readouterr().out == (
+        "no perfect matching, so no inverse-closed path cover\n")
+    assert calls == [] and blossoms == []
 
 
 @pytest.mark.parametrize("spec", ["D5040", "S7", "GDih[2,1260]"])

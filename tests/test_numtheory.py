@@ -91,6 +91,17 @@ def test_chi_past_the_sieve():
     assert nt.chi(p * q) == p * (q - 1) + 1
 
 
+def test_factorize_stops_at_the_bound():
+    # every n below 10^13 is factored; a larger n only when the part left
+    # after dividing out the primes up to 3162277 is below 10^13
+    assert nt.FACTOR_BOUND == 10**13
+    assert nt.factorize(10**13) == ((2, 13), (5, 13))
+    assert nt.factorize(2 * 9999999999971) == ((2, 1), (9999999999971, 1))
+    for n in (10000000000037, 3 * 10000000000037, 10**18 + 3):
+        with pytest.raises(ValueError, match="not below 10\\^13"):
+            nt.factorize(n)
+
+
 def test_chi_recursion_bound_and_near_miss():
     # recursion, the <= n bound with its equality case, and the n-1 case
     for n in range(2, 2000):

@@ -3,17 +3,17 @@
 Groups are built from a small spec grammar (cyclic, abelian, dihedral,
 generalized dihedral, dicyclic/quaternion, symmetric/alternating, direct
 products, external Cayley tables) and served per order through a catalog
-that deduplicates up to isomorphism and is flagged complete when its size
-reaches the known group count.  The identity always sits at identifier 0.
+that keeps one group per exact direct-factor key and is complete when its
+size meets the group count.  The identity always sits at identifier 0.
 
 Each family walks its cyclic subgroups, all that the power graph reads,
 once per class, and the group keeps the walk, so its table is built on
-the first read of ``mul``: by a product, the conjugacy classes or the
-isomorphism search.  Each family has one product x*s (``_right``).  One
-builder fills every table from it along the greedy-generator walk
-(``_walk``), the only closure under multiplication, in ``array('H')``
-rows at every order.  Power-graph degrees and adjacency come from the
-cyclic classes, so nothing here builds a power graph.
+the first read of ``mul``, which no answer makes but a product's table.
+Each family has one product x*s (``_right``).  One builder fills every
+table from it along the greedy-generator walk (``_walk``), the only
+closure under multiplication, in ``array('H')`` rows at every order.
+Power-graph degrees and adjacency come from the cyclic classes, so
+nothing here builds a power graph.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class Group:
 
     @property
     def mul(self):
-        """The table, built on the first read if a builder stood in for it."""
+        """The table, built on first read; no answer reads it but a product's table."""
         if callable(self._mul):
             self._mul = self._mul()
         return self._mul
@@ -523,7 +523,7 @@ def _check_associative(mul: list[list[int]]) -> None:
                 raise CayleyTableError(f"associativity fails at ({x}, {s}, {y})")
 
 
-# ── isomorphism testing ──────────────────────────────────────────────────────
+# ── isomorphism testing: no answer calls it; tests and perfbench do ──────────
 
 def _conjugacy_class_sizes(g: Group, gens: list[int]) -> list[int]:
     """Per-element size of its conjugacy class, the orbit under conjugation
@@ -650,7 +650,8 @@ def abelian_types(m: int) -> list[tuple[int, ...]]:
     return types
 
 
-_FACTORIAL_SPECS = {6: "S3", 24: "S4", 120: "S5", 720: "S6", 5040: "S7",
+# no S3: it is D6, which the dihedral family already lists
+_FACTORIAL_SPECS = {24: "S4", 120: "S5", 720: "S6", 5040: "S7",
                     12: "A4", 60: "A5", 360: "A6", 2520: "A7"}
 
 
@@ -684,12 +685,24 @@ def _candidate_specs(m: int) -> list[str]:
 
 
 def _factor_key(spec: str, tree) -> tuple:
-    """Sorted direct factors of the group a stripped spec names, read from
-    its parsed tree, a product's factors from their subtrees; equal keys
-    name isomorphic groups.  Prod flattens to its leaves; Z and Ab split
-    into cyclic factors of prime-power order; Dih(A) gives one Z2 per Z2
-    elementary divisor of A, as Dih(B x Z2) = Dih(B) x Z2, and Dih of the
-    rest A' unless A' is trivial; any other leaf is keyed by its spec."""
+    """Sorted direct factors of the group a stripped spec names, read from its
+    parsed tree, a product's factors from their subtrees.  Prod flattens to
+    its leaves; Z and Ab split into cyclic factors of prime-power order;
+    Dih(A) gives one Z2 per Z2 elementary divisor of A, as Dih(B x Z2) =
+    Dih(B) x Z2, and Dih of the rest A' unless A' is trivial; any other leaf
+    is keyed by its spec.  The candidates' atoms are Z_{p^k}, Dih(A') with
+    A' != 1 and no Z2 elementary divisor, one Dic/Q per order, S4..S7 and
+    A4..A7, each indecomposable: Dic/Q have one involution, so of two direct
+    factors one has odd order, lies in the cyclic <a> of index 2 and is
+    inverted and centralised by the other's elements outside <a>; in Dih(A') a
+    direct factor inside A' is inverted and centralised by a reflection, so it
+    is an elementary 2-group and a direct factor of A', and two factors
+    holding reflections would square every a = hk in A' to 1; the normal
+    subgroups of S_n and A_n form a chain.  Distinct atoms are non-isomorphic:
+    only Z_{p^k} is abelian, A' is generated by the elements of order > 2,
+    Dic/Q have one involution, and S_n and A_n have trivial centre, while a
+    same-order Dih(A') has even |A'|.  So by Krull-Remak-Schmidt equal keys
+    hold exactly for isomorphic candidates."""
     if tree[0] == "prod":
         return tuple(sorted(_factor_key(*tree[1]) + _factor_key(*tree[2])))
     if tree[0] != "window" or tree[2]:
@@ -704,31 +717,17 @@ def _factor_key(spec: str, tree) -> tuple:
 
 @lru_cache(maxsize=None)
 def catalog_for_order(m: int) -> Catalog:
-    """All family-expressible groups of order m up to isomorphism.
-
-    A candidate with an earlier one's ``_factor_key`` is skipped unbuilt.
-    The dedup is an exact isomorphism test, so the groups are pairwise
-    non-isomorphic, and there being GROUP_COUNTS[m] of them certifies
-    complete=True: every group of order m is among them.  A rejected
-    candidate leaves the spec cache unless a caller had built it before.
-    """
+    """The family-expressible groups of order m, one per ``_factor_key``,
+    the rest skipped unbuilt.  The key is exact, so GROUP_COUNTS[m] of them
+    certify complete=True: every group of order m is among them."""
     if m < 1:
         raise ValueError("order must be >= 1")
     _check_cap(m)
-    reps: list[tuple[Group, tuple]] = []
-    keys = set()
+    found, keys = [], set()
     for spec in _candidate_specs(m):
         tree = parse_group_spec(spec)
         key = _factor_key(spec, tree)
-        if key in keys:
-            continue
-        keys.add(key)
-        cached = spec in _group_cache
-        g = _construct(spec, tree)
-        fp = group_fingerprint(g)
-        if not any(fp == fp0 and are_isomorphic(g, g0) for g0, fp0 in reps):
-            reps.append((g, fp))
-        elif not cached:
-            del _group_cache[spec]
-    found = tuple(g for g, _ in reps)
-    return Catalog(found, m < len(GROUP_COUNTS) and len(found) == GROUP_COUNTS[m])
+        if key not in keys:
+            keys.add(key)
+            found.append(_construct(spec, tree))
+    return Catalog(tuple(found), m < len(GROUP_COUNTS) and len(found) == GROUP_COUNTS[m])

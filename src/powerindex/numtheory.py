@@ -26,9 +26,9 @@ def _require_positive(n: int) -> None:
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization ((p1, r1), (p2, r2), ...) with p1 < p2 < ..., by
-    trial division up to the square root of ``FACTOR_BOUND``, so every n
-    below the bound is factored, about 0.1 s for a 12-digit prime; an n
-    that leaves a part not below the bound raises ValueError."""
+    trial division up to r = isqrt(``FACTOR_BOUND``), about 0.1 s for a
+    12-digit prime.  A part left over is prime if below (r + 1)^2, so each
+    n below that is factored; an n leaving a larger part raises ValueError."""
     _require_positive(n)
     factors = []
     m, d = n, 2
@@ -42,8 +42,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             factors.append((d, r))
             stop = isqrt(min(m, FACTOR_BOUND))
         d += 1 if d == 2 else 2
-    if m >= FACTOR_BOUND:
-        raise ValueError(f"cannot factor {n}: trial division leaves {m}, not below 10^13")
+    if m >= (top := isqrt(FACTOR_BOUND) + 1) ** 2:
+        raise ValueError(f"cannot factor {n}: trial division leaves {m}, not below {top}^2")
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)

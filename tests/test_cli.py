@@ -83,10 +83,12 @@ def test_bad_argument_is_usage_error(capsys):
 
 
 def test_primes_past_the_factoring_bound_exit_2(capsys):
-    # trial division answers the largest prime below 10^13 in under a
-    # second, and refuses the least prime above it in one stderr line,
-    # where a 19-digit prime ran on for more than 20 s
-    below, past = 9999999999971, 10000000000037
+    # trial division to 3162277 answers the largest prime below 10^13 in
+    # under a second, and every prime below 3162278^2, such as the one rho
+    # reaches from just below 10^13; it refuses the least prime past that
+    # in one stderr line, where a 19-digit prime ran on for more than 20 s
+    below, past = 9999999999971, 10000002149323
+    assert run(capsys, "rho", "9999999999972")[:2] == (0, "10000000000037\n")
     for head, n, want in ((["chi"], below, below), (["rho"], below, below),
                           (["theta-complete"], below, below),
                           (["critical-kst", "2"], below - 2, "true")):
@@ -94,7 +96,7 @@ def test_primes_past_the_factoring_bound_exit_2(capsys):
         code, out, err = run(capsys, *head, str(n + past - below))
         assert (code, out) == (2, ""), head
         assert err == (f"error: cannot factor {past}: trial division leaves "
-                       f"{past}, not below 10^13\n"), head
+                       f"{past}, not below 3162278^2\n"), head
 
 
 def test_unknown_command(capsys):

@@ -500,8 +500,9 @@ def test_factor_key_examples():
                  ("GDih[2,2]", "Ab[2,2,2]"), ("GDih[2,6]", "Prod(Ab[2,2],D6)"),
                  ("Prod(Z1,Q8)", "Q8")):
         assert _factor_key(a, parse_group_spec(a)) == _factor_key(b, parse_group_spec(b)), (a, b)
-    # S3 = D6 and Q8 = Dic2 are left to the isomorphism test; D8, Z8 and
-    # Ab[2,4] are distinct groups
+    # Dic, Q, S and A leaves are keyed by their spec, so S3 = D6 and
+    # Q8 = Dic2 key apart; the catalog lists neither S3 nor Dic2, so its keys
+    # stay exact.  D8, Z8 and Ab[2,4] are distinct groups
     for a, b in (("S3", "D6"), ("Q8", "Dic2"), ("D8", "Prod(Z2,Z4)"), ("Z8", "Ab[2,4]")):
         assert _factor_key(a, parse_group_spec(a)) != _factor_key(b, parse_group_spec(b)), (a, b)
 
@@ -526,11 +527,13 @@ def test_equal_factor_keys_name_isomorphic_groups():
 
 
 def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
-    # orders 1..128 keep 629 groups; of their candidates only one is built
-    # and then rejected by the isomorphism test: S3, which is D6.  Only
-    # that comparison reads a table, so only S3 and D6 build one
-    constructed, built, rejected = [], [], []
-    group, build_table, isomorphic = groups.Group, groups._build_table, groups.are_isomorphic
+    # orders 1..128 keep 629 groups, and the key skips every other
+    # candidate unbuilt, so exactly those are constructed.  The key is the
+    # only dedup: no table is built, and neither the isomorphism search
+    # nor a fingerprint is asked
+    constructed, built, asked = [], [], []
+    group, build_table = groups.Group, groups._build_table
+    isomorphic, fingerprint = groups.are_isomorphic, groups.group_fingerprint
 
     def counted_group(*args):
         g = group(*args)
@@ -541,15 +544,12 @@ def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
         built.append(tree)
         return build_table(tree)
 
-    def counted_isomorphic(g, h):
-        found = isomorphic(g, h)
-        if found:
-            rejected.append(g.label)
-        return found
-
     monkeypatch.setattr(groups, "Group", counted_group)
     monkeypatch.setattr(groups, "_build_table", counted_build)
-    monkeypatch.setattr(groups, "are_isomorphic", counted_isomorphic)
+    monkeypatch.setattr(groups, "are_isomorphic",
+                        lambda *args: asked.append(args) or isomorphic(*args))
+    monkeypatch.setattr(groups, "group_fingerprint",
+                        lambda g: asked.append(g) or fingerprint(g))
     catalog_for_order.cache_clear()
     try:
         with patch.dict(groups._group_cache, clear=True):
@@ -557,9 +557,8 @@ def test_cold_catalog_builds_each_factor_key_once(monkeypatch):
     finally:
         catalog_for_order.cache_clear()
     assert kept == 629
-    assert len(constructed) == len(set(constructed)) == 630
-    assert rejected == ["S3"]
-    assert sorted(built) == [parse_group_spec("S3"), parse_group_spec("D6")]
+    assert len(constructed) == len(set(constructed)) == 629
+    assert built == asked == []
 
 
 def test_each_spec_node_is_parsed_once(monkeypatch):
@@ -594,7 +593,7 @@ def test_each_spec_node_is_parsed_once(monkeypatch):
             candidates = sum(len(_candidate_specs(m)) for m in range(1, 129))
     finally:
         catalog_for_order.cache_clear()
-    assert top_level == candidates == 1355
+    assert top_level == candidates == 1354
 
 
 def test_cyclic_and_abelian_predicates():
@@ -813,8 +812,10 @@ def test_catalog_complete_orders_match_classification():
 
 
 def test_rejected_candidates_leave_the_spec_cache(monkeypatch):
-    # S3 is a candidate at order 6 that the dedup rejects (it is D6), and
-    # Prod(Z2,D6) at order 12 has the factor key of D12, so it is never built
+    # Prod(Z2,D6) at order 12 has the factor key of D12, so it is never
+    # built; the catalog of 12 caches only the groups it and the smaller
+    # catalogs keep, and builds no table.  S3 is no candidate (it is D6),
+    # but it still constructs on its own
     built = []
     build_table = groups._build_table
 
@@ -828,12 +829,14 @@ def test_rejected_candidates_leave_the_spec_cache(monkeypatch):
         with patch.dict(groups._group_cache, clear=True):
             catalog_for_order(12)
             cached = set(groups._group_cache)
-            assert ("perm", 3, False) in built and "S3" not in cached
-            assert parse_group_spec("Prod(Z2,D6)") not in built
-            assert cached <= {g.label for m in range(1, 13) for g in catalog_for_order(m).groups}
+            assert built == []
+            assert "Prod(Z2,D6)" not in cached and "S3" not in cached
+            assert cached == {g.label for m in range(2, 13) if 12 % m == 0
+                              for g in catalog_for_order(m).groups}
         catalog_for_order.cache_clear()
         with patch.dict(groups._group_cache, clear=True):
             g = construct_group("S3")
+            assert g.n == 6 and not is_cyclic(g)
             assert "S3" not in [h.label for h in catalog_for_order(6).groups]
             assert construct_group("S3") is g
     finally:
@@ -871,11 +874,13 @@ def test_catalog_deterministic():
 
 
 def test_catalog_pairwise_nonisomorphic():
-    for m in (8, 12, 16, 18, 24):
-        groups = catalog_for_order(m).groups
-        for i, g in enumerate(groups):
-            for h in groups[i + 1:]:
-                assert not are_isomorphic(g, h), (m, g.label, h.label)
+    # the factor key is exact by proof (see _factor_key); at every order
+    # <= 128 the kept groups differ in fingerprint, or else the isomorphism
+    # search tells them apart
+    for m in range(1, 129):
+        kept = [(g, group_fingerprint(g)) for g in catalog_for_order(m).groups]
+        for (g, fg), (h, fh) in itertools.combinations(kept, 2):
+            assert fg != fh or not are_isomorphic(g, h), (m, g.label, h.label)
 
 
 def test_class_walk_keeps_no_int_per_element():

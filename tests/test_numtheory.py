@@ -92,13 +92,18 @@ def test_chi_past_the_sieve():
 
 
 def test_factorize_stops_at_the_bound():
-    # every n below 10^13 is factored; a larger n only when the part left
-    # after dividing out the primes up to 3162277 is below 10^13
+    # trial division runs to 3162277, so a part left over is prime below
+    # 3162278^2: every n below that is factored, and a larger n when the
+    # part left is below it
     assert nt.FACTOR_BOUND == 10**13
     assert nt.factorize(10**13) == ((2, 13), (5, 13))
     assert nt.factorize(2 * 9999999999971) == ((2, 1), (9999999999971, 1))
-    for n in (10000000000037, 3 * 10000000000037, 10**18 + 3):
-        with pytest.raises(ValueError, match="not below 10\\^13"):
+    assert nt.factorize(10000000000037) == ((10000000000037, 1),)
+    assert nt.factorize(3 * 10000000000037) == ((3, 1), (10000000000037, 1))
+    # the primes on either side of 3162278^2 = 10000002149284
+    assert nt.factorize(10000002149227) == ((10000002149227, 1),)
+    for n in (10000002149323, 3 * 10000002149323, 10**18 + 3):
+        with pytest.raises(ValueError, match="not below 3162278\\^2"):
             nt.factorize(n)
 
 

@@ -9,9 +9,13 @@ classes, in one static order and within each class's capacity, on an
 explicit stack with forward checking of bitset class domains and a Hall
 count on pattern twins (as in the Glasgow Subgraph Solver; McCreesh,
 Prosser & Trimble, ICGT 2020), and lifts a class assignment to elements
-at the end.  Twins take non-decreasing class indices, and so do the
-least members of twin classes that a pattern automorphism swaps whole;
-an exhausted search is still a proof that no embedding exists (the
+at the end.  Closed twins take non-decreasing class indices, and so do
+the least members of closed twin classes that a pattern automorphism
+swaps whole.  Each open twin block (such as a side of K_{s,t}) is one
+unit: it branches on a closed set of classes, not on a class per member,
+and one max flow from blocks to classes settles the counts at the end,
+a global cardinality constraint over blocks (Régin, AAAI 1996).  An
+exhausted search is still a proof that no embedding exists (the
 argument is in ``embeds``).  On top of the oracle sit the constructive
 embedding behind the bipartite criticality criterion, optimal-group
 classification, and catalog-relative index search for arbitrary
@@ -124,15 +128,36 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
     - Any valid assignment lifts: x lies in <y> exactly when <x> is
       contained in <y>, so elements of comparable classes are adjacent,
       and the lift is injective because no class is overloaded.
-    - Pattern twins are interchangeable by a pattern automorphism, so
+    - Closed twins are interchangeable by a pattern automorphism, so
       every valid assignment can be permuted into one that gives the
-      members of each twin class non-decreasing class indices.
-    - Two twin classes of one size and kind with the same neighbours
+      members of each closed twin class non-decreasing class indices.
+    - Two closed twin classes of one size with the same neighbours
       outside both are swapped whole by a pattern automorphism, which
       keeps each class's members in order, so the assignment can further
       be permuted to give the least members of each run of such classes
-      non-decreasing class indices.
-    - Forward checking and the Hall count only cut partial assignments
+      non-decreasing class indices.  Neither permutation moves a member
+      of an open twin block.
+    - An open twin block (two or more vertices with one open
+      neighbourhood) is placed as one unit.  Where the search branches
+      on the block, let D be its domain and L the classes its unplaced
+      neighbours may still take, and project a valid assignment that
+      agrees with the units placed before it to the set U of classes the
+      block's members use.  Its unplaced neighbours take classes in
+      Y = L ∩ common(U), common(S) being the classes comparable with
+      every class of S, and U lies in X = D ∩ common(Y).
+      X is closed: X = D ∩ common(L ∩ common(X)).  Every class of X is
+      comparable with every class of Y, so the pair (X, Y) dominates
+      (U, Y): narrowing the block's domain to X and its neighbours'
+      domains to common(X) keeps the assignment.  So branching on the
+      closed sets alone, by ``_closed_sets``, misses no valid assignment.
+      A block with no unplaced neighbour has one closed set, its domain.
+    - Once every unit is placed, each vertex unit has a class, each block
+      a domain, and any two classes that adjacent units may take are
+      comparable.  What is left is whether the blocks' members fit in
+      the capacity the vertices leave, a transportation problem that one
+      max flow decides exactly (``_transport``).  Its counts per class
+      lift to the block's members in ascending order.
+    - Forward checking and the Hall counts only cut partial assignments
       that no valid assignment extends.
     """
     if pattern.n > g.n:
@@ -140,28 +165,30 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
     assign = _assign_classes(pattern, g)
     if assign is None:
         return None
-    taken = [0] * len(g.comparable)
-    mapping = []
-    for v, c in enumerate(assign):
-        mapping.append((v, g.members(c)[taken[c]]))
-        taken[c] += 1
-    return EmbeddingWitness(tuple(mapping), g.label)
+    rows = {c: iter(g.members(c)) for c in set(assign)}
+    return EmbeddingWitness(tuple((v, next(rows[c])) for v, c in enumerate(assign)), g.label)
 
 
 def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
     """A valid class per pattern vertex (see embeds), or None if none exists.
 
-    Depth-first search on an explicit stack, over one vertex order fixed
-    before it starts: degree descending, then the least member of the
-    vertex's run of swappable twin classes, then that of its twin class
-    (so each run, and in it each twin class, is placed in a row, by
-    increasing id), then id.  The runs are the twin classes of the graph
-    of twin classes, among classes of equal size, kind and neighbours in
-    no twin class.  Frame i branches on ``order[i]`` and holds its untried
-    classes and the domains (bitmasks over class indices) and remaining
-    capacities left by the placements above it.  A twin's predecessor, and
-    the lead of the class before a class in a run, is always placed first,
-    so only the successors in ``succ`` take the non-decreasing bound.
+    Depth-first search on an explicit stack, over one order of units fixed
+    before it starts.  The vertices are sorted by degree descending, then
+    the least member of the vertex's run of swappable closed twin classes,
+    then that of its twin class (so each run, and in it each twin class,
+    is placed in a row, by increasing id), then id.  The runs are the twin
+    classes of the graph of closed twin classes, among classes of equal
+    size and neighbours outside closed twin classes.  Each open twin block
+    is one unit, at the place of its first member; every other vertex is
+    a unit of its own.  Frame i branches on unit i and holds its untried
+    choices and the domains (bitmasks over class indices, one per unit)
+    and remaining capacities left by the units before it.  A vertex takes
+    a class and one of its capacity.  A block takes a closed set of
+    classes (``_closed_sets``) as its members' domain and no capacity, and
+    after the last unit one transportation check (``_transport``) gives
+    each block its count per class.  A closed twin's predecessor, and the
+    lead of the class before a class in a run, is always placed first, so
+    only the successors in ``succ`` take the non-decreasing bound.
     """
     n = pattern.n
     if n == 0:
@@ -171,36 +198,60 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
     size = [len(g.members(c)) for c in range(len(comp))]
     pool = {d: sum(1 << c for c, deg in enumerate(g.degree) if deg >= d)
             for d in set(pdeg)}
-    twins = _twin_classes(padj, [None] * n)
-    twin_sets = [members for _, members in twins]
-    lone = ~sum(1 << u for members in twin_sets for u in members)
-    runs = _twin_classes(
-        [sum(1 << j for j, other in enumerate(twin_sets)
-             if other is not members and padj[members[0]] >> other[0] & 1)
-         for members in twin_sets],
-        [(len(members), kind, padj[members[0]] & lone) for kind, members in twins])
-    lead, run, succ = list(range(n)), list(range(n)), [[] for _ in range(n)]
-    for members in twin_sets:
-        for a, b in zip(members, members[1:]):
-            succ[a].append(b)
+    lead, run = list(range(n)), list(range(n))
+    succ: dict[int, list[int]] = {}
+    block: list[list[int] | None] = [None] * n
+    closed = []
+    for kind, members in _twin_classes(padj, [None] * n):
+        for b in members[1:]:
             lead[b] = members[0]
+        if kind == "o":
+            for u in members:
+                block[u] = members
+        else:
+            closed.append(members)
+            for a, b in zip(members, members[1:]):
+                succ[a] = [b]
+    outside = ~sum(1 << u for members in closed for u in members)
+    runs = _twin_classes(
+        [sum(1 << j for j, other in enumerate(closed)
+             if other is not members and padj[members[0]] >> other[0] & 1)
+         for members in closed],
+        [(len(members), padj[members[0]] & outside) for members in closed])
     for _, ids in runs:
-        heads = [twin_sets[i][0] for i in ids]
+        heads = [closed[i][0] for i in ids]
         for a, b in zip(heads, heads[1:]):
-            succ[a].append(b)
+            succ.setdefault(a, []).append(b)
             run[b] = heads[0]
-    order = sorted(range(n), key=lambda v: (-pdeg[v], run[lead[v]], lead[v], v))
-    assign = [-1] * n
+    units: list[list[int]] = []
+    blocks, unit = [], [0] * n  # unit[v] is v's unit
+    for v in sorted(range(n), key=lambda v: (-pdeg[v], run[lead[v]], lead[v], v)):
+        if block[v] is None:
+            unit[v] = len(units)
+            units.append([v])
+        elif v == lead[v]:
+            for u in block[v]:
+                unit[u] = len(units)
+            blocks.append(len(units))
+            units.append(block[v])
+    k = len(units)
+    halls = [[unit[u] for u in members] for members in closed]
+    # each block alone, then all together: for two blocks these are Hall's
+    # conditions, so the flow after the last unit can fail only from three
+    block_halls = [([b], len(units[b])) for b in blocks]
+    if len(blocks) > 1:
+        block_halls.append((blocks, sum(len(units[b]) for b in blocks)))
 
     def feasible(dom: list[int], cap: list[int], i: int) -> bool:
-        """Whether every vertex from order[i] on has a class left and every
-        twin class has room for its unplaced members in their domains."""
-        if not all(map(dom.__getitem__, order[i:])):
+        """Whether every unit from i on has a class left, every closed twin
+        class has room for its unplaced members in their domains, and
+        the blocks have room for their members in their domains."""
+        if not all(dom[i:]):
             return False
-        for members in twin_sets:
+        for members in halls:
             union = need = 0
             for u in members:
-                if assign[u] == -1:
+                if u >= i:
                     union |= dom[u]
                     need += 1
             room = 0
@@ -209,35 +260,176 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
                 union &= union - 1
             if room < need:
                 return False
+        for group, need in block_halls:
+            union = room = 0
+            for b in group:
+                union |= dom[b]
+            while union and room < need:
+                room += cap[(union & -union).bit_length() - 1]
+                union &= union - 1
+            if room < need:
+                return False
         return True
 
-    dom = [pool[pdeg[v]] for v in range(n)]
+    def choices(i: int, dom: list[int], cap: list[int]):
+        """The classes of vertex unit i, or the closed class sets of block
+        unit i, last tried first; the first call for a unit finds its
+        neighbour units after it."""
+        if ahead[i] is None:
+            # a neighbour of one member of a block neighbours them all, so
+            # each neighbour unit is found once and its other members skipped
+            ahead[i], row = [], padj[units[i][0]] & ~start[i + 1]
+            while row:
+                j = unit[(row & -row).bit_length() - 1]
+                ahead[i].append(j)
+                row &= ~(start[j + 1] ^ start[j])
+        if len(units[i]) == 1:
+            return dom[i]
+        later = 0
+        for j in ahead[i]:
+            later |= dom[j]
+        if not later:
+            return [dom[i]]
+        return _closed_sets(dom[i], later, comp, cap, len(units[i]))
+
+    dom = [pool[pdeg[members[0]]] for members in units]
     if not feasible(dom, size, 0):
         return None
-    stack = [[0, dom[order[0]], dom, size]]
+    # only the search reads what follows, so a root that fails skips it
+    assign = [-1] * k
+    ahead: list[list[int] | None] = [None] * k  # unit i's later neighbours
+    succ = {unit[a]: [unit[b] for b in bs] for a, bs in succ.items()}
+    # start[i] holds the members of the units before unit i, so
+    # start[i + 1] ^ start[i] holds those of unit i
+    start = [0]
+    for members in units:
+        mask = start[-1]
+        for u in members:
+            mask |= 1 << u
+        start.append(mask)
+    stack = [[0, choices(0, dom, size), dom, size]]
     while stack:
         frame = stack[-1]
         i, cand, dom, cap = frame
-        v = order[i]
         if not cand:
-            assign[v] = -1
             stack.pop()
             continue
-        c = (cand & -cand).bit_length() - 1
-        frame[1] = cand & (cand - 1)
-        assign[v] = c
-        if i + 1 == n:
-            return assign
-        cap = cap[:]
-        cap[c] -= 1
-        dom = [d & ~(1 << c) for d in dom] if not cap[c] else dom[:]
-        for u in _bits(padj[v]):
-            dom[u] &= comp[c]
-        for u in succ[v]:
-            dom[u] &= -1 << c
-        if feasible(dom, cap, i + 1):
-            stack.append([i + 1, dom[order[i + 1]], dom, cap])
+        if len(units[i]) == 1:
+            c = (cand & -cand).bit_length() - 1
+            frame[1] = cand & (cand - 1)
+            assign[i] = c
+            cap = cap[:]
+            cap[c] -= 1
+            dom = [d & ~(1 << c) for d in dom] if not cap[c] else dom[:]
+            for j in ahead[i]:
+                dom[j] &= comp[c]
+            for j in succ.get(i, ()):
+                dom[j] &= -1 << c
+        else:
+            x = cand.pop()
+            dom = dom[:]
+            dom[i], common = x, -1
+            for c in _bits(x):
+                common &= comp[c]
+            for j in ahead[i]:
+                dom[j] &= common
+        i += 1
+        if i < k:
+            if feasible(dom, cap, i):
+                stack.append([i, choices(i, dom, cap), dom, cap])
+            continue
+        counts = _transport([len(units[b]) for b in blocks], [dom[b] for b in blocks], cap)
+        if counts is None:
+            continue
+        out = [-1] * n
+        for members, c in zip(units, assign):
+            out[members[0]] = c
+        for b, load in zip(blocks, counts):
+            it = iter(units[b])
+            for c, m in load:
+                for _ in range(m):
+                    out[next(it)] = c
+        return out
     return None
+
+
+def _closed_sets(dom: int, later: int, comp: tuple[int, ...], cap: list[int],
+                 need: int) -> list[int]:
+    """The closed class sets of a block with domain dom, whose unplaced
+    neighbours may take the classes in later, that have room for need
+    members, by increasing room (the search tries the list from its end).
+
+    X is closed when X = dom ∩ common(later ∩ common(X)), common(Y) being
+    the classes comparable with every class in Y.  These are exactly dom
+    and its intersections with comp[y] for classes y in later; a subset
+    of a set without room has none, so such a set is not cut further."""
+    def room(x: int) -> int:
+        return sum(cap[c] for c in _bits(x))
+
+    rooms = {dom: room(dom)}
+    for y in {comp[c] & dom for c in _bits(later)}:
+        for x in [x for x, r in rooms.items() if r >= need]:
+            if x & y not in rooms:
+                rooms[x & y] = room(x & y)
+    return sorted((x for x, r in rooms.items() if r >= need), key=lambda x: (rooms[x], x))
+
+
+def _transport(need: list[int], dom: list[int],
+               cap: list[int]) -> list[list[tuple[int, int]]] | None:
+    """Per block, its (class, count) pairs by increasing class, giving block
+    b need[b] members in the classes of dom[b] with no class over its
+    capacity in cap; None if no such counts exist.
+
+    A max flow from blocks to classes, filled one block at a time: a block
+    first fills its classes in increasing order, then each further step
+    searches breadth first for a class with room, through full
+    classes whose members another block can move to one of its own
+    classes, and pushes along that path.  A block that finds no path
+    cannot be filled beside the blocks before it, so none fill them all."""
+    free = cap[:]
+    flow: list[dict[int, int]] = [{} for _ in need]
+    for b, want in enumerate(need):
+        for c in _bits(dom[b]):
+            k = min(want, free[c])
+            if k:
+                flow[b][c] = k
+                free[c] -= k
+                want -= k
+                if not want:
+                    break
+        while want:
+            # reach[c]: the block that takes class c on the path; via[y]:
+            # the class that block y gives up to the block before it
+            reach: dict[int, int] = {}
+            via, queue, end = {b: -1}, [b], -1
+            for y in queue:
+                for c in _bits(dom[y]):
+                    if c in reach:
+                        continue
+                    reach[c] = y
+                    if free[c]:
+                        end = c
+                        break
+                    for z, load in enumerate(flow):
+                        if z not in via and load.get(c):
+                            via[z] = c
+                            queue.append(z)
+                if end >= 0:
+                    break
+            if end < 0:
+                return None
+            path, c = [], end
+            while c >= 0:
+                path.append((reach[c], c))
+                c = via[reach[c]]
+            k = min(want, free[end], *(flow[y][via[y]] for y, _ in path[:-1]))
+            for y, c in path:
+                flow[y][c] = flow[y].get(c, 0) + k
+                if y != b:
+                    flow[y][via[y]] -= k
+            free[end] -= k
+            want -= k
+    return [sorted((c, k) for c, k in load.items() if k) for load in flow]
 
 
 # ── complete bipartite graphs ────────────────────────────────────────────────

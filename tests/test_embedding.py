@@ -89,8 +89,20 @@ def test_embeds_agrees_with_brute_force():
     # K_{3,3} and the three pairs of the octahedron K_{2,2,2}
     octahedron = SimpleGraph(6, [(u, v) for u, v in itertools.combinations(range(6), 2)
                                  if u // 2 != v // 2])
+    # and patterns whose open twin blocks the search places as units: stars
+    # and K_{2,4}, the three blocks of K_{2,2,3}, K_{3,3} with a pendant
+    # vertex (which splits one side into a block and a lone vertex), and
+    # K_{2,3} joined to an edge, whose ends are a closed twin class beside
+    # the two blocks
+    k223 = SimpleGraph(7, [(u, v) for u, v in itertools.combinations(range(7), 2)
+                           if min(u // 2, 2) != min(v // 2, 2)])
+    k33_pendant = SimpleGraph(7, list(complete_bipartite(3, 3).edges()) + [(0, 6)])
+    k23_edge = SimpleGraph(7, list(complete_bipartite(2, 3).edges()) + [(5, 6)]
+                           + [(u, w) for u in range(5) for w in (5, 6)])
     for seed, pattern in enumerate((one_factor(2), one_factor(3), apex_one_factor(2),
-                                    apex_one_factor(3), complete_bipartite(3, 3), octahedron)):
+                                    apex_one_factor(3), complete_bipartite(3, 3), octahedron,
+                                    complete_bipartite(1, 5), complete_bipartite(2, 4), k223,
+                                    k33_pendant, k23_edge)):
         pattern = _relabel(pattern, seed)
         patterns.append((pattern.n, list(pattern.edges())))
     hosts = [(g, power_graph_edges_brute(g))
@@ -116,9 +128,10 @@ def test_embeds_large_patterns_without_recursion():
 
 def test_embeds_ignores_pattern_labels():
     # a shuffled K_{12,12} interleaves its sides, which a search order by id
-    # alone would split into many short runs of each twin class
-    for seed in (1, 2, 3):
-        for n in range(4, 21):
+    # alone would split into many short runs of each twin class; seed 1 runs
+    # on to order 48, past the orders whose proofs of absence were slow
+    for seed, top in ((1, 48), (2, 20), (3, 20)):
+        for n in range(4, top + 1):
             groups = catalog_for_order(n).groups
             for s in range(2, n // 2 + 1):
                 pattern = _relabel(complete_bipartite(s, n - s), seed)
@@ -138,6 +151,20 @@ def test_embeds_ignores_pattern_labels():
     w = embeds(pattern, construct_group("Z26"))
     assert w is not None
     assert check_embedding(pattern, _host("Z26"), w.as_dict())
+
+
+def test_open_blocks_share_classes_through_the_flow():
+    # K_{3,3} with a pendant vertex and an isolated one: in D12 the two open
+    # blocks compete for classes, and under most labellings the block placed
+    # first fills the class the other needs unless the flow moves it
+    g = construct_group("D12")
+    base = SimpleGraph(8, list(complete_bipartite(3, 3).edges()) + [(0, 6)])
+    assert embedding_brute(8, list(base.edges()), g.n, power_graph_edges_brute(g)) is not None
+    for seed in range(12):
+        pattern = _relabel(base, seed)
+        w = embeds(pattern, g)
+        assert w is not None, seed
+        assert check_embedding(pattern, g, w.as_dict()), seed
 
 
 def test_stars_embed_everywhere():

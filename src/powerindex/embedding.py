@@ -6,15 +6,16 @@ generate are nested (Feng, Ma & Wang, Eur. J. Combin. 43, 2015), so it
 is the comparability graph of the host's cyclic classes with each class
 blown up to a clique.  The search therefore assigns pattern vertices to
 classes, in one static order and within each class's capacity, on an
-explicit stack with forward checking of bitset class domains and a Hall
-count on pattern twins (as in the Glasgow Subgraph Solver; McCreesh,
-Prosser & Trimble, ICGT 2020), and lifts a class assignment to elements
-at the end.  Closed twins take non-decreasing class indices, and so do
-the least members of closed twin classes that a pattern automorphism
-swaps whole.  Each open twin block (such as a side of K_{s,t}) is one
-unit: it branches on a closed set of classes, not on a class per member,
-and one max flow from blocks to classes settles the counts at the end,
-a global cardinality constraint over blocks (Régin, AAAI 1996).  An
+explicit stack with forward checking of bitset class domains and Hall
+counts of room per closed twin class and per open block (as in the
+Glasgow Subgraph Solver; McCreesh, Prosser & Trimble, ICGT 2020), and
+lifts a class assignment to elements at the end.  Closed twins take
+non-decreasing class indices, and so do the least members of closed
+twin classes that a pattern automorphism swaps whole.  Each open twin
+block (such as a side of K_{s,t}) is one unit: it branches on a closed
+set of classes, not on a class per member, and one max flow from blocks
+to classes settles the counts at the end, a global cardinality
+constraint over blocks (Régin, AAAI 1996).  An
 exhausted search is still a proof that no embedding exists (the
 argument is in ``embeds``).  On top of the oracle sit the constructive
 embedding behind the bipartite criticality criterion, optimal-group
@@ -157,8 +158,10 @@ def embeds(pattern: SimpleGraph, g: Group) -> EmbeddingWitness | None:
       the capacity the vertices leave, a transportation problem that one
       max flow decides exactly (``_transport``).  Its counts per class
       lift to the block's members in ascending order.
-    - Forward checking and the Hall counts only cut partial assignments
-      that no valid assignment extends.
+    - Forward checking and the capacity counts only cut partial
+      assignments that no valid assignment extends: a closed twin class's
+      unplaced members, a block's members, or all blocks' members
+      together, need that much room in the classes their domains hold.
     """
     if pattern.n > g.n:
         return None
@@ -186,9 +189,12 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
     a class and one of its capacity.  A block takes a closed set of
     classes (``_closed_sets``) as its members' domain and no capacity, and
     after the last unit one transportation check (``_transport``) gives
-    each block its count per class.  A closed twin's predecessor, and the
-    lead of the class before a class in a run, is always placed first, so
-    only the successors in ``succ`` take the non-decreasing bound.
+    each block its count per class.  Each node checks every capacity
+    group in one loop (``feasible``), and each unit's later neighbour
+    units, which its choice narrows, are listed once in ``ahead`` after
+    the root passes.  A closed twin's predecessor, and the lead of the
+    class before a class in a run, is always placed first, so only the
+    successors in ``succ`` take the non-decreasing bound.
     """
     n = pattern.n
     if n == 0:
@@ -235,35 +241,29 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
             blocks.append(len(units))
             units.append(block[v])
     k = len(units)
-    halls = [[unit[u] for u in members] for members in closed]
-    # each block alone, then all together: for two blocks these are Hall's
-    # conditions, so the flow after the last unit can fail only from three
-    block_halls = [([b], len(units[b])) for b in blocks]
+    # capacity groups of (unit, last, width): at unit i the group needs room
+    # for the width members of each unit with i <= last, in their domains.
+    # A closed twin class counts its units from i on; a block takes no
+    # capacity until _transport runs, so each block alone and all blocks
+    # together count every member (for two blocks these are Hall's
+    # conditions, so the flow can fail only from three)
+    capacity = [[(unit[u], unit[u], 1) for u in members] for members in closed]
+    capacity += [[(b, k, len(units[b]))] for b in blocks]
     if len(blocks) > 1:
-        block_halls.append((blocks, sum(len(units[b]) for b in blocks)))
+        capacity.append([(b, k, len(units[b])) for b in blocks])
 
     def feasible(dom: list[int], cap: list[int], i: int) -> bool:
-        """Whether every unit from i on has a class left, every closed twin
-        class has room for its unplaced members in their domains, and
-        the blocks have room for their members in their domains."""
+        """Whether every unit from i on has a class left and every capacity
+        group has room for what it still needs in its units' domains."""
         if not all(dom[i:]):
             return False
-        for members in halls:
+        for group in capacity:
             union = need = 0
-            for u in members:
-                if u >= i:
+            for u, last, width in group:
+                if i <= last:
                     union |= dom[u]
-                    need += 1
+                    need += width
             room = 0
-            while union and room < need:
-                room += cap[(union & -union).bit_length() - 1]
-                union &= union - 1
-            if room < need:
-                return False
-        for group, need in block_halls:
-            union = room = 0
-            for b in group:
-                union |= dom[b]
             while union and room < need:
                 room += cap[(union & -union).bit_length() - 1]
                 union &= union - 1
@@ -273,16 +273,7 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
 
     def choices(i: int, dom: list[int], cap: list[int]):
         """The classes of vertex unit i, or the closed class sets of block
-        unit i, last tried first; the first call for a unit finds its
-        neighbour units after it."""
-        if ahead[i] is None:
-            # a neighbour of one member of a block neighbours them all, so
-            # each neighbour unit is found once and its other members skipped
-            ahead[i], row = [], padj[units[i][0]] & ~start[i + 1]
-            while row:
-                j = unit[(row & -row).bit_length() - 1]
-                ahead[i].append(j)
-                row &= ~(start[j + 1] ^ start[j])
+        unit i, last tried first."""
         if len(units[i]) == 1:
             return dom[i]
         later = 0
@@ -297,16 +288,11 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
         return None
     # only the search reads what follows, so a root that fails skips it
     assign = [-1] * k
-    ahead: list[list[int] | None] = [None] * k  # unit i's later neighbours
     succ = {unit[a]: [unit[b] for b in bs] for a, bs in succ.items()}
-    # start[i] holds the members of the units before unit i, so
-    # start[i + 1] ^ start[i] holds those of unit i
-    start = [0]
-    for members in units:
-        mask = start[-1]
-        for u in members:
-            mask |= 1 << u
-        start.append(mask)
+    # unit i's later neighbour units: a neighbour of one member of a block
+    # neighbours them all, so the first members' rows decide
+    ahead = [[j for j in range(i + 1, k) if padj[units[i][0]] >> units[j][0] & 1]
+             for i in range(k)]
     stack = [[0, choices(0, dom, size), dom, size]]
     while stack:
         frame = stack[-1]
@@ -508,12 +494,10 @@ def is_power_critical(pattern: SimpleGraph) -> CriticalityResult:
         if witness is None:  # pragma: no cover - complete host graph
             raise AssertionError("embedding into complete power graph failed")
         return CriticalityResult(True, True, witness)
-    cat = catalog_for_order(n)
-    for g in cat.groups:
-        witness = embeds(pattern, g)
-        if witness is not None:
-            return CriticalityResult(True, True, witness)
-    return CriticalityResult(False, cat.complete, None)
+    found = theta_search(pattern, n)
+    if found is not None:
+        return CriticalityResult(True, True, found.witness)
+    return CriticalityResult(False, catalog_for_order(n).complete, None)
 
 
 def max_nonidentity_degree(g: Group) -> DegreeReport:

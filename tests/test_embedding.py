@@ -3,6 +3,7 @@ criticality, and the degree characterization."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -165,6 +166,28 @@ def test_open_blocks_share_classes_through_the_flow():
         w = embeds(pattern, g)
         assert w is not None, seed
         assert check_embedding(pattern, g, w.as_dict()), seed
+
+
+def test_embed_witnesses_unchanged():
+    # every result of embeds, a mapping or None, over two sets: K_{s,t} with
+    # s + t <= 40 into every catalog group of order s + t, and K_3..K_19 and
+    # K_1 + kK_2 (k = 2..9) into every catalog group of order <= 24; a
+    # change of search order or prune that moves any witness changes this
+    h = hashlib.sha256()
+
+    def record(pattern, groups):
+        for g in groups:
+            w = embeds(pattern, g)
+            h.update(f"{None if w is None else w.mapping}\n".encode())
+
+    for n in range(2, 41):
+        for s in range(1, n // 2 + 1):
+            record(complete_bipartite(s, n - s), catalog_for_order(n).groups)
+    small = [g for m in range(1, 25) for g in catalog_for_order(m).groups]
+    for pattern in ([complete_graph(n) for n in range(3, 20)]
+                    + [apex_one_factor(k) for k in range(2, 10)]):
+        record(pattern, small)
+    assert h.hexdigest()[:16] == "f9b109e526a2f546"
 
 
 def test_stars_embed_everywhere():

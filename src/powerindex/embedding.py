@@ -185,16 +185,19 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
     is one unit, at the place of its first member; every other vertex is
     a unit of its own.  Frame i branches on unit i and holds its untried
     choices and the domains (bitmasks over class indices, one per unit)
-    and remaining capacities left by the units before it.  A vertex takes
-    a class and one of its capacity.  A block takes a closed set of
-    classes (``_closed_sets``) as its members' domain and no capacity, and
-    after the last unit one transportation check (``_transport``) gives
-    each block its count per class.  Each node checks every capacity
-    group in one loop (``feasible``), and each unit's later neighbour
-    units, which its choice narrows, are listed once in ``ahead`` after
-    the root passes.  A closed twin's predecessor, and the lead of the
-    class before a class in a run, is always placed first, so only the
-    successors in ``succ`` take the non-decreasing bound.
+    and remaining capacities left by the units before it.  A placed unit's
+    domain is its choice: a vertex takes a one-class set and one of that
+    class's capacity, and a full class leaves the later units' domains (an
+    earlier block that keeps it has no room there); a block takes a closed
+    set of classes (``_closed_sets``) and no capacity, and after the last
+    unit one transportation check (``_transport``) gives each block its
+    count per class.  Each node checks every capacity group in one loop
+    (``feasible``), and each unit's later neighbour units, which one step
+    narrows to the classes comparable with all of its choice, are listed
+    once in ``ahead`` after the root passes.  A closed twin's predecessor,
+    and the lead of the class before a class in a run, is always placed
+    first, so only the successors in ``succ`` take the non-decreasing
+    bound.
     """
     n = pattern.n
     if n == 0:
@@ -271,23 +274,20 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
                 return False
         return True
 
-    def choices(i: int, dom: list[int], cap: list[int]):
-        """The classes of vertex unit i, or the closed class sets of block
-        unit i, last tried first."""
+    def choices(i: int, dom: list[int], cap: list[int]) -> list[int]:
+        """The one-class sets of vertex unit i, or the closed class sets of
+        block unit i, last tried first."""
         if len(units[i]) == 1:
-            return dom[i]
+            return [1 << c for c in reversed(_bits(dom[i]))]
         later = 0
         for j in ahead[i]:
             later |= dom[j]
-        if not later:
-            return [dom[i]]
         return _closed_sets(dom[i], later, comp, cap, len(units[i]))
 
     dom = [pool[pdeg[members[0]]] for members in units]
     if not feasible(dom, size, 0):
         return None
     # only the search reads what follows, so a root that fails skips it
-    assign = [-1] * k
     succ = {unit[a]: [unit[b] for b in bs] for a, bs in succ.items()}
     # unit i's later neighbour units: a neighbour of one member of a block
     # neighbours them all, so the first members' rows decide
@@ -295,30 +295,24 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
              for i in range(k)]
     stack = [[0, choices(0, dom, size), dom, size]]
     while stack:
-        frame = stack[-1]
-        i, cand, dom, cap = frame
+        i, cand, dom, cap = stack[-1]
         if not cand:
             stack.pop()
             continue
-        if len(units[i]) == 1:
-            c = (cand & -cand).bit_length() - 1
-            frame[1] = cand & (cand - 1)
-            assign[i] = c
+        x = cand.pop()
+        dom = dom[:]
+        dom[i], common = x, -1
+        for c in _bits(x):
+            common &= comp[c]
+        if len(units[i]) == 1:  # x is {c}
             cap = cap[:]
             cap[c] -= 1
-            dom = [d & ~(1 << c) for d in dom] if not cap[c] else dom[:]
-            for j in ahead[i]:
-                dom[j] &= comp[c]
+            if not cap[c]:
+                dom[i + 1:] = [d & ~x for d in dom[i + 1:]]
             for j in succ.get(i, ()):
-                dom[j] &= -1 << c
-        else:
-            x = cand.pop()
-            dom = dom[:]
-            dom[i], common = x, -1
-            for c in _bits(x):
-                common &= comp[c]
-            for j in ahead[i]:
-                dom[j] &= common
+                dom[j] &= -x
+        for j in ahead[i]:
+            dom[j] &= common
         i += 1
         if i < k:
             if feasible(dom, cap, i):
@@ -328,8 +322,8 @@ def _assign_classes(pattern: SimpleGraph, g: Group) -> list[int] | None:
         if counts is None:
             continue
         out = [-1] * n
-        for members, c in zip(units, assign):
-            out[members[0]] = c
+        for members, x in zip(units, dom):
+            out[members[0]] = x.bit_length() - 1
         for b, load in zip(blocks, counts):
             it = iter(units[b])
             for c, m in load:

@@ -488,10 +488,11 @@ def _lift(g: Group, node_class: list[int], first_end: int,
     """An inverse-closed path cover from a perfect matching of the gadget.
 
     From each end node not yet reached, in order, the walk alternates
-    matched edges with pair edges until it lands on another end node.  The
-    classes it passes are loop-erased, so each is passed once, and a pass
-    through class i takes the next unused pair x, x^-1 of it.  The
-    identity's walk is cut to its end edge."""
+    matched edges with pair edges until it lands on another end node, and
+    a pass through class i takes the next unused pair x, x^-1 of it.  Each
+    pass has its own pass pair, and class i has c_i <= s_i/2 of those, so
+    the pairs never run out and the lifted path keeps distinct vertices
+    and comparable neighbours.  The identity's walk is cut to its end edge."""
     spare: dict[int, list[tuple[int, int]]] = {}
     reached: set[int] = set()
     paths = []
@@ -501,11 +502,7 @@ def _lift(g: Group, node_class: list[int], first_end: int,
         passed: list[int] = []
         u = match[t]
         while u < first_end:
-            i = node_class[u]
-            if i in passed:
-                del passed[passed.index(i) + 1:]
-            else:
-                passed.append(i)
+            passed.append(node_class[u])
             u = match[u ^ 1]
         reached.add(u)
         vertices = [g.members(node_class[t])[0]]
@@ -553,9 +550,9 @@ def check_theorem44(g: Group) -> Theorem44Report:
       or has both nodes matched outside (a pass node's only neighbour in
       its class is its mate), so matched edges and pair edges form paths
       between the end nodes, pairing up T, besides cycles that are
-      dropped.  ``_lift`` cuts e's path to its end edge, erases loops
-      and lifts a pass through class i to an unused pair x, x^-1: there are
-      s_i/2 of them, at least the c_i passes.  The result is a cover (iii),
+      dropped.  ``_lift`` cuts e's path to its end edge and lifts each
+      pass through class i to an unused pair x, x^-1: there are s_i/2 of
+      them, at least the c_i passes.  The result is a cover (iii),
       and ``matching_from_path_cover`` rebuilds a perfect matching of P from
       it, reading P's edges from the classes (``Group.has_edge``).
 

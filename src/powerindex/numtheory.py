@@ -51,7 +51,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def totient(n: int) -> int:
     """Euler totient phi(n); phi(1) = 1."""
-    _require_positive(n)
     result = n
     for p, _ in factorize(n):
         result -= result // p
@@ -66,7 +65,6 @@ def chi(n: int) -> int:
 
     chi(1) == 1 by convention: the chain collapses to the single term phi(1).
     """
-    _require_positive(n)
     total = phi = 1
     for p, r in reversed(factorize(n)):
         phi *= p - 1
@@ -105,13 +103,12 @@ def chi_table(limit: int) -> list[int]:
 
 def is_prime_power(n: int) -> bool:
     """True iff n = p^k with p prime and k >= 1; false for n = 1."""
-    _require_positive(n)
     return len(factorize(n)) == 1
 
 
 def rho(n: int) -> int:
     """Smallest prime power q >= n."""
-    _require_positive(n)
+    _require_positive(n)  # max(n, 2) below would hide n < 1 from factorize
     q = max(n, 2)
     while not is_prime_power(q):
         q += 1
@@ -120,7 +117,6 @@ def rho(n: int) -> int:
 
 def is_twice_odd_prime(n: int) -> bool:
     """True iff n = 2p with p an odd prime."""
-    _require_positive(n)
     f = factorize(n)
     return len(f) == 2 and f[0] == (2, 1) and f[1][1] == 1
 

@@ -190,6 +190,24 @@ def test_embed_witnesses_unchanged():
     assert h.hexdigest()[:16] == "f9b109e526a2f546"
 
 
+def test_embed_witnesses_unchanged_on_lone_vertices():
+    # every result of embeds over G(n, p) graphs, n = 6..12, p = 0.3, 0.5,
+    # 0.7, two each, into every catalog group of order <= 24; most of their
+    # units are lone vertices, which the sets above rarely branch on
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    small = [g for m in range(1, 25) for g in catalog_for_order(m).groups]
+    for n in range(6, 13):
+        for p in (0.3, 0.5, 0.7):
+            for _ in range(2):
+                pattern = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                                          if rng.random() < p])
+                for g in small:
+                    w = embeds(pattern, g)
+                    h.update(f"{None if w is None else w.mapping}\n".encode())
+    assert h.hexdigest()[:16] == "38f998ff691acd86"
+
+
 def test_stars_embed_everywhere():
     for t in range(1, 21):
         for g in catalog_for_order(t + 1).groups:

@@ -38,11 +38,12 @@ def test_factorize_reconstructs():
 
 
 def test_factorize_rejects_nonpositive():
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            nt.factorize(bad)
-    with pytest.raises(ValueError):
-        nt.chi(0)
+    # totient, chi and the predicates take factorize's check; rho keeps its own
+    for f in (nt.factorize, nt.totient, nt.chi, nt.is_prime_power,
+              nt.is_twice_odd_prime, nt.rho):
+        for bad in (0, -3, True, 2.5):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 def test_totient_against_gcd_count():

@@ -27,7 +27,9 @@ patterns.  The closed forms (``theta_complete``, ``theta_kn_equals_nplus1``,
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
+from operator import or_
 from typing import NamedTuple
 
 from .graphs import SimpleGraph, _bits, complete_bipartite
@@ -79,15 +81,25 @@ class DegreeReport(NamedTuple):
 
 def check_embedding(pattern: SimpleGraph, host: SimpleGraph | Group,
                     mapping: dict[int, int]) -> bool:
-    """Validate injectivity and edge preservation of a candidate map; only
-    ``host.n`` and ``host.has_edge`` are read, so a group can be the host."""
+    """Validate injectivity and edge preservation of a candidate map.
+
+    The host is read one pattern row at a time: each distinct row's images
+    form one mask, which must lie in the host row of every image of a
+    vertex with that row.  A group host is read on its cyclic classes
+    (``comparable``), so no power graph is built: injectivity is checked
+    first, and distinct elements are adjacent exactly when their classes
+    are comparable."""
     if sorted(mapping) != list(range(pattern.n)):
         return False
     if len(set(mapping.values())) != pattern.n:
         return False
     if any(not 0 <= x < host.n for x in mapping.values()):
         return False
-    return all(host.has_edge(mapping[u], mapping[v]) for u, v in pattern.edges())
+    of, rows = ((host._class, host.comparable) if isinstance(host, Group)
+                else (range(host.n), host.adj))
+    image = [1 << of[mapping[v]] for v in range(pattern.n)]
+    mask = {row: reduce(or_, map(image.__getitem__, _bits(row)), 0) for row in set(pattern.adj)}
+    return all(not mask[row] & ~rows[of[mapping[v]]] for v, row in enumerate(pattern.adj))
 
 
 def _twin_classes(rows: list[int], key: list) -> list[tuple[str, list[int]]]:

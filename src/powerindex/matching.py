@@ -255,33 +255,20 @@ def near_perfect_matching_odd(g: Group) -> Matching:
 
 # ── inverse-closed paths ─────────────────────────────────────────────────────
 
-def _check_path_in_graph(g: Group, vertices: tuple[int, ...]) -> None:
-    if len(set(vertices)) != len(vertices):
-        raise ValueError(f"repeated vertex in path {vertices}")
-    for a, b in zip(vertices, vertices[1:]):
-        if not g.has_edge(a, b):
-            raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
-
-
 def compress_path(g: Group, u: tuple[int, ...]) -> tuple[int, ...]:
     """Rewrite an inverse-closed path into alternating (x, x^-1) shape.
 
     Walks the printed index bookkeeping: keep the first vertex, repeatedly
     jump past the position of the current vertex's inverse, and adjust the
-    final anchor when the walk lands on the last vertex itself.  The input
-    must be a path of the power graph of g; the result visits a subset of
-    its vertices, keeps both endpoints, and stays a path.
-    """
-    if not u:
-        raise ValueError("empty path")
-    _check_path_in_graph(g, u)
-    members = set(u)
-    for x in u:
-        if g.orders[x] < 3:
-            raise ValueError(f"vertex {x} has order {g.orders[x]} < 3")
-        if g.inv[x] not in members:
-            raise ValueError(f"path is not inverse-closed: {g.inv[x]} missing")
+    final anchor when the walk lands on the last vertex itself.  The result
+    visits a subset of the vertices, keeps both endpoints, and stays a path.
 
+    Nothing is checked here.  The input must be a non-empty path of the
+    power graph of g, inverse-closed, with no element of order <= 2: its
+    one caller, ``matching_from_path_cover``, passes only the interiors of
+    identity-free paths of a cover it has checked, and those hold none of
+    the identity and the involutions.
+    """
     pos = {x: i for i, x in enumerate(u)}
     last, last_inv = u[-1], g.inv[u[-1]]
     anchors = [u[0]]
@@ -349,7 +336,10 @@ def matching_from_path_cover(g: Group, cover: tuple[tuple[int, ...], ...]) -> Ma
     powers of one are itself and the identity), so the interior is not
     empty.  The paths are disjoint, with the involutions and the identity
     as ends, so the interior holds none of them; it is inverse-closed, as
-    the path is and its ends are self-inverse, so its size is even.
+    the path is and its ends are self-inverse, so its size is even.  The
+    same checks put the identity at an end of its path and every
+    involution at an end of a path, so each vertex left over has an
+    inverse other than itself.
     """
     ubar = involutions(g) | {0}
     if len(cover) * 2 != len(ubar):
@@ -360,8 +350,12 @@ def matching_from_path_cover(g: Group, cover: tuple[tuple[int, ...], ...]) -> Ma
     for p in cover:
         if len(p) < 2:
             raise ValueError(f"single-vertex path {p} not allowed")
-        _check_path_in_graph(g, p)
         vset = set(p)
+        if len(vset) != len(p):
+            raise ValueError(f"repeated vertex in path {p}")
+        for a, b in zip(p, p[1:]):
+            if not g.has_edge(a, b):
+                raise ValueError(f"consecutive vertices {a}, {b} are not adjacent")
         if seen & vset:
             raise ValueError(f"paths overlap at {sorted(seen & vset)}")
         seen |= vset
@@ -375,11 +369,9 @@ def matching_from_path_cover(g: Group, cover: tuple[tuple[int, ...], ...]) -> Ma
 
     edges: list[tuple[int, int]] = []
     for v in cover:
-        if 0 in v:
+        if 0 in (v[0], v[-1]):
             # the identity's path contributes only its endpoint edge; its
             # interior joins the inverse-paired leftovers
-            if 0 not in (v[0], v[-1]):
-                raise ValueError("identity must be a path endpoint")
             edges.append((v[0], v[-1]))
             continue
         interior = v[1:-1]
@@ -391,11 +383,7 @@ def matching_from_path_cover(g: Group, cover: tuple[tuple[int, ...], ...]) -> Ma
     covered = {x for e in edges for x in e}
     inv = g.inv
     for x in range(g.n):
-        if x in covered:
-            continue
-        if x == inv[x]:
-            raise ValueError(f"leftover vertex {x} is self-inverse")
-        if x < inv[x]:
+        if x not in covered and x < inv[x]:
             edges.append((x, inv[x]))
     result = Matching.from_edges(edges)
     result.validate(g)
@@ -416,13 +404,19 @@ class Theorem44Report(NamedTuple):
     barrier: tuple[int, ...] | None
 
 
-def _odd_components_without(g: Group, removed: int) -> int:
-    """The number of odd components of the power graph of g less the
-    classes in the bitmask ``removed``, read from the cyclic classes:
-    every other class, joined when comparable, each weighing its size."""
+def barrier_surplus(g: Group, barrier) -> int:
+    """odd(P - S) - |S| for the power graph P of g and S the union of the
+    cyclic classes of the elements in ``barrier``.  By Tutte's theorem
+    (*J. London Math. Soc.* 22, 1947) a positive value proves that P has no
+    perfect matching.  The odd components are read from the cyclic
+    classes: every class outside S, joined when comparable, each weighing
+    its size."""
     comparable = g.comparable
+    removed = 0
+    for x in barrier:
+        removed |= 1 << g._class[x]
+    surplus = -sum(len(g.members(i)) for i in _bits(removed))
     unseen = (1 << len(comparable)) - 1 & ~removed
-    odd = 0
     while unseen:
         component = frontier = unseen & -unseen
         size = 0
@@ -434,20 +428,8 @@ def _odd_components_without(g: Group, removed: int) -> int:
             frontier = reach & unseen & ~component
             component |= frontier
         unseen &= ~component
-        odd += size & 1
-    return odd
-
-
-def barrier_surplus(g: Group, barrier) -> int:
-    """odd(P - S) - |S| for the power graph P of g and S the union of the
-    cyclic classes of the elements in ``barrier``.  By Tutte's theorem
-    (*J. London Math. Soc.* 22, 1947) a positive value proves that P has no
-    perfect matching."""
-    removed = 0
-    for x in barrier:
-        removed |= 1 << g._class[x]
-    size = sum(len(g.members(i)) for i in _bits(removed))
-    return _odd_components_without(g, removed) - size
+        surplus += size & 1
+    return surplus
 
 
 def _gadget(g: Group) -> tuple[SimpleGraph, list[int], int]:

@@ -9,6 +9,8 @@ import random
 
 import pytest
 
+import powerindex.embedding as embedding
+import powerindex.graphs as graphs
 from oracles import (
     embedding_brute,
     empty_graph,
@@ -32,6 +34,7 @@ from powerindex.embedding import (
 )
 from powerindex.graphs import (
     SimpleGraph,
+    _bits,
     apex_one_factor,
     complete_bipartite,
     complete_graph,
@@ -60,6 +63,115 @@ def test_embeds_complete_graphs():
     assert embeds(complete_graph(6), construct_group("Z6")) is None
     assert embeds(complete_graph(6), construct_group("S3")) is None
     assert embeds(complete_graph(5), construct_group("Z3")) is None
+
+
+def _verdict(pattern, g, mapping, host_edges):
+    """The oracle's verdict on a map into g: its keys are the pattern's
+    vertices, its images are elements of g, and is_embedding holds on
+    the power-graph edges computed the slow way."""
+    if sorted(mapping) != list(range(pattern.n)):
+        return False
+    if not all(0 <= x < g.n for x in mapping.values()):
+        return False
+    return is_embedding(pattern.edges(), mapping, host_edges)
+
+
+def _check_both_hosts(pattern, g, mapping, host_edges):
+    """check_embedding's verdict, the same on g and on its power graph,
+    and the oracle's."""
+    want = _verdict(pattern, g, mapping, host_edges)
+    assert check_embedding(pattern, g, mapping) == want, (g.label, mapping)
+    assert check_embedding(pattern, power_graph(g).graph, mapping) == want, (g.label, mapping)
+    return want
+
+
+def test_check_embedding_on_broken_witnesses():
+    # every swapped pair, and for each vertex a repeated image, a
+    # non-adjacent image, images out of range and a missing key; swaps in
+    # K_{3,3} keep a side or cross it, so both verdicts must occur
+    swapped, far_images = set(), 0
+    for pattern, spec in ((complete_bipartite(3, 3), "Z6"),
+                          (apex_one_factor(3), "D14"),
+                          (star(5), "S4"),
+                          (SimpleGraph(6, [(0, 1), (1, 2), (3, 4)]), "Ab[2,6]")):
+        g = construct_group(spec)
+        host_edges = power_graph_edges_brute(g)
+        w = embeds(pattern, g)
+        assert w is not None, spec
+        base = w.as_dict()
+        assert _check_both_hosts(pattern, g, base, host_edges), spec
+        n = pattern.n
+        for u, v in itertools.combinations(range(n), 2):
+            m = dict(base)
+            m[u], m[v] = m[v], m[u]
+            swapped.add(_check_both_hosts(pattern, g, m, host_edges))
+        broken = []
+        for v in range(n):
+            broken.append({**base, v: base[(v + 1) % n]})
+            broken += [{**base, v: -1}, {**base, v: g.n}]
+            broken.append({u: x for u, x in base.items() if u != v})
+            for u in _bits(pattern.adj[v]):
+                far = [x for x in range(g.n) if x not in base.values()
+                       and frozenset((x, base[u])) not in host_edges]
+                if far:
+                    broken.append({**base, v: far[0]})
+                    far_images += 1
+        assert not any(_check_both_hosts(pattern, g, m, host_edges) for m in broken), spec
+    assert swapped == {True, False} and far_images
+
+
+def test_check_embedding_agrees_with_the_oracle_on_random_maps():
+    # a pattern drawn on random images: most pairs of adjacent images are
+    # pattern edges, a few non-adjacent pairs too, and one map in five is
+    # broken by a repeated image, an image out of range, a missing key or
+    # any element at all
+    rng = random.Random(32)
+    groups = [g for m in range(1, 41) for g in catalog_for_order(m).groups]
+    edges = {g.label: power_graph_edges_brute(g) for g in groups}
+    verdicts = []
+    for _ in range(3000):
+        g = rng.choice(groups)
+        host_edges = edges[g.label]
+        n = rng.randint(0, min(12, g.n))
+        image = rng.sample(range(g.n), n)
+        pattern = SimpleGraph(n, [
+            (u, v) for u, v in itertools.combinations(range(n), 2)
+            if rng.random() < (0.6 if frozenset((image[u], image[v])) in host_edges else 0.05)])
+        mapping = dict(enumerate(image))
+        if n and rng.random() < 0.2:
+            v, kind = rng.randrange(n), rng.randrange(4)
+            if kind == 0:
+                mapping[v] = image[rng.randrange(n)]
+            elif kind == 1:
+                mapping[v] = rng.choice((-1, g.n))
+            elif kind == 2:
+                del mapping[v]
+            else:
+                mapping[v] = rng.randrange(g.n)
+        verdicts.append(_check_both_hosts(pattern, g, mapping, host_edges))
+    assert 1000 < sum(verdicts) < 2500  # 1,891 true
+
+
+def test_check_embedding_on_a_group_builds_no_power_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs, "power_graph", calls.append)
+    monkeypatch.setattr(embedding, "power_graph", calls.append, raising=False)
+    # the identity trades places with a non-generator, which no longer
+    # reaches the whole other side
+    for s, t in ((2, 4), (3, 9), (4, 20), (6, 30)):
+        pattern, g = complete_bipartite(s, t), construct_group(f"Z{s + t}")
+        w = embed_kst_cyclic(s, t).as_dict()
+        assert check_embedding(pattern, g, w), (s, t)
+        w[0], w[s] = w[s], w[0]
+        assert not check_embedding(pattern, g, w), (s, t)
+    pattern = apex_one_factor(4)
+    checked = 0
+    for g in catalog_for_order(16).groups:
+        w = embeds(pattern, g)
+        if w is not None:
+            assert check_embedding(pattern, g, w.as_dict()), g.label
+            checked += 1
+    assert checked and calls == []
 
 
 def test_embeds_witness_fields():

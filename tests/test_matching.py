@@ -237,23 +237,6 @@ def test_compress_path_properties_by_enumeration():
                 assert g.inv[out[j]] == out[j + 1]
 
 
-def test_compress_path_rejects_bad_inputs():
-    z12 = construct_group("Z12")
-    with pytest.raises(ValueError, match="order"):
-        compress_path(z12, (6,))
-    with pytest.raises(ValueError, match="order"):
-        compress_path(z12, (0, 1))
-    z5 = construct_group("Z5")
-    with pytest.raises(ValueError, match="inverse-closed"):
-        compress_path(z5, (1, 2))
-    with pytest.raises(ValueError, match="adjacent"):
-        compress_path(z12, (3, 9, 4, 8))
-    with pytest.raises(ValueError, match="repeated"):
-        compress_path(z12, (1, 11, 1, 11))
-    with pytest.raises(ValueError):
-        compress_path(z12, ())
-
-
 # ── path covers ──────────────────────────────────────────────────────────────
 
 def test_path_cover_cyclic_even():
@@ -340,6 +323,22 @@ def test_matching_from_cover_rejects_bad_covers():
         matching_from_path_cover(z12, ((0, 6), (1, 11)))
     with pytest.raises(ValueError, match="single-vertex"):
         matching_from_path_cover(z12, ((0,),))
+    with pytest.raises(ValueError, match="single-vertex"):
+        matching_from_path_cover(z12, ((),))
+    # compress_path checks nothing, so every path it could be handed wrong
+    # is refused here first: a repeated vertex, a non-adjacent pair (<9> and
+    # <4> are not nested), the involution 6 or the identity inside a path,
+    # and an interior that is not inverse-closed
+    with pytest.raises(ValueError, match="repeated"):
+        matching_from_path_cover(z12, ((0, 1, 11, 1, 6),))
+    with pytest.raises(ValueError, match="adjacent"):
+        matching_from_path_cover(z12, ((0, 3, 9, 4, 8, 6),))
+    with pytest.raises(ValueError, match="endpoint"):
+        matching_from_path_cover(z12, ((0, 1, 6, 11),))
+    with pytest.raises(ValueError, match="endpoint"):
+        matching_from_path_cover(z12, ((6, 0, 1, 11),))
+    with pytest.raises(ValueError, match="inverse-closed"):
+        matching_from_path_cover(z12, ((0, 1, 2, 6),))
     q8 = construct_group("Q8")
     # (0, 1, 3, 2) is a legitimate cover: {1, 3} are mutual inverses
     assert matching_from_path_cover(q8, ((0, 1, 3, 2),)).is_perfect(8)

@@ -3,8 +3,9 @@
 Every subcommand accepts --json for machine-readable output on stdout.
 Exit codes follow one convention throughout: 0 for success or a true
 answer, 1 for a false or negative answer, 2 for usage errors including
-malformed group specs and graph files.  Progress and warnings go to
-stderr so stdout stays stable for piping and diffing.
+malformed group specs and graph files, and for a certificate that fails
+its own check (an AssertionError), which is no answer.  Progress and
+warnings go to stderr so stdout stays stable for piping and diffing.
 
 The library modules are bound lazily: each runs on its first attribute
 access, so a cold call runs only the modules its answer reads (chi, rho,
@@ -285,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:  # refused input, failed self-check
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

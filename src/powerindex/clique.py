@@ -6,22 +6,19 @@ each class stands as its least member, weighted by its size.  On a power
 graph each cyclic class is a clique of twins (Feng, Ma & Wang, *Eur. J.
 Combin.* 43, 2015).
 
-Branch and bound in the style of Tomita, seeded as in BBMC (San Segundo
-et al., *Comput. Oper. Res.* 38, 2011):
+Branch and bound in the style of Tomita, from an empty incumbent.
+Candidates are greedily colored by ascending id; a clique takes at most
+one vertex of each color, so the heaviest class of each color, summed,
+bounds its weight, and subtrees that cannot beat the incumbent are cut.
+The search runs on an explicit stack, so its depth is not limited by the
+interpreter's recursion limit.  A greedy first incumbent, as BBMC seeds
+one (San Segundo et al., *Comput. Oper. Res.* 38, 2011), cost more than
+it cut: on a 2-core host the searches on the power graphs of Z1..Z600
+took 0.09-0.14 s with it and 0.06-0.10 s without.
 
-- A greedy clique is the first incumbent: it takes the vertices in one
-  static order, degree descending with the lowest id on ties, and keeps
-  each one adjacent to every vertex kept so far.  On power graphs the
-  root coloring often matches it, so the search ends at the root.
-- Candidates are greedily colored by ascending id; a clique takes at most
-  one vertex of each color, so the heaviest class of each color, summed,
-  bounds its weight, and subtrees that cannot beat the incumbent are
-  cut.  The search runs on an explicit stack, so its depth is not limited
-  by the interpreter's recursion limit.
-
-Expansion follows a fixed ascending-id order and the witness is the
-greedy clique unless the search finds a larger one, so the reported
-witness is reproducible run to run.
+Expansion follows a fixed ascending-id order and the witness is the first
+clique of maximum weight the search reaches, so it is reproducible run
+to run.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ class CliqueResult(NamedTuple):
 def clique_number(gr: SimpleGraph) -> CliqueResult:
     """Exact maximum clique of a non-empty graph.
 
-    Exponential in the worst case, but the greedy incumbent and the coloring
+    Exponential in the worst case, but the twin classes and the coloring
     bound keep the power graphs this library cares about (a few hundred
     vertices) sub-second.
     """
@@ -60,14 +57,7 @@ def clique_number(gr: SimpleGraph) -> CliqueResult:
         weight[members[0]] = len(members)
     full = sum(1 << v for v, w in enumerate(weight) if w)
 
-    # Greedy incumbent: by degree descending (the sort is stable, so lowest
-    # id on ties), each class adjacent to all those kept so far stays.
     best_mask = best_size = 0
-    deg = gr.degrees()
-    for v in sorted(range(n), key=deg.__getitem__, reverse=True):
-        if weight[v] and best_mask & adj[v] == best_mask:
-            best_mask |= 1 << v
-            best_size += weight[v]
 
     def color_pairs(p_mask: int) -> list[tuple[int, int]]:
         # Greedy coloring by ascending id, built one color class at a time:

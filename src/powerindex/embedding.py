@@ -353,16 +353,11 @@ def _closed_sets(dom: int, later: int, comp: tuple[int, ...], cap: list[int],
 
     X is closed when X = dom ∩ common(later ∩ common(X)), common(Y) being
     the classes comparable with every class in Y.  These are exactly dom
-    and its intersections with comp[y] for classes y in later; a subset
-    of a set without room has none, so such a set is not cut further."""
-    def room(x: int) -> int:
-        return sum(cap[c] for c in _bits(x))
-
-    rooms = {dom: room(dom)}
+    and its intersections with comp[y] for classes y in later."""
+    closed = {dom}
     for y in {comp[c] & dom for c in _bits(later)}:
-        for x in [x for x, r in rooms.items() if r >= need]:
-            if x & y not in rooms:
-                rooms[x & y] = room(x & y)
+        closed |= {x & y for x in closed}
+    rooms = {x: sum(cap[c] for c in _bits(x)) for x in closed}
     return sorted((x for x, r in rooms.items() if r >= need), key=lambda x: (rooms[x], x))
 
 

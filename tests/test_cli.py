@@ -2,7 +2,7 @@
 
 Each test drives main(argv) directly and checks stdout, stderr, and the
 exit code; 0 means success or true, 1 means false or negative, 2 means
-a usage error or malformed input.
+a usage error, malformed input or a certificate that failed its own check.
 """
 
 from __future__ import annotations
@@ -424,6 +424,17 @@ def test_check_thm44(capsys):
     assert json.loads(out)["barrier"] == [0, 2]
     code, _, err = run(capsys, "check-thm44", "Z9")
     assert code == 2
+
+
+def test_failed_self_check_exits_2_without_traceback(capsys):
+    # Prod(Z7,D18) passes the identity barrier and fails on the gadget;
+    # with every surplus forced to 0 its barrier fails the self-check,
+    # which must not read as a "no" (exit 1) or end in a traceback
+    with patch("powerindex.matching.barrier_surplus", return_value=0):
+        code, out, err = run(capsys, "check-thm44", "Prod(Z7,D18)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Prod(Z7,D18): the gadget's barrier ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_kst_optimal(capsys):

@@ -95,8 +95,8 @@ def test_witness_deterministic():
 
 def _hub_over_independent_set(k, s):
     """K_k on 0..k-1 beside a hub k joined to an independent set k+1..k+s.
-    With s >= k >= 2 the greedy incumbent is the hub and one set vertex,
-    while omega is k."""
+    With s >= k >= 2 the hub has the top degree, yet it lies in no clique
+    larger than an edge, while omega is k."""
     edges = list(itertools.combinations(range(k), 2))
     edges += [(k, k + 1 + i) for i in range(s)]
     return SimpleGraph(k + 1 + s, edges)

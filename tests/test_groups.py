@@ -481,6 +481,21 @@ def test_isomorphism_agrees_with_oracle_on_equal_fingerprints():
     assert compared >= 7
 
 
+def test_heisenberg_group_of_order_125_is_not_elementary_abelian():
+    # (a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab') mod 5: exponent 5, so its
+    # element orders and power-graph degrees are those of Ab[5,5,5] and
+    # the fingerprints agree; only the conjugacy class sizes tell the two
+    # apart, and without them the search runs through every image
+    triples = list(itertools.product(range(5), repeat=3))
+    index = {t: i for i, t in enumerate(triples)}
+    mul = [[index[(a + x) % 5, (b + y) % 5, (c + z + a * y) % 5] for x, y, z in triples]
+           for a, b, c in triples]
+    heisenberg, elementary = Group(mul, "Heis5"), construct_group("Ab[5,5,5]")
+    assert group_fingerprint(heisenberg) == group_fingerprint(elementary)
+    assert not are_isomorphic(heisenberg, elementary)
+    assert not are_isomorphic(elementary, heisenberg)
+
+
 def test_catalog_labels_unchanged():
     # sha256 of the catalogs of orders 1..256, one line per order: "+" if
     # the catalog is complete, else "-", then its labels, all separated by

@@ -89,7 +89,9 @@ def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
     each popped vertex's bitset row in ascending order.  A failed search
     leaves a Hungarian tree, which no later augmenting path meets (Edmonds,
     *Canad. J. Math.* 17, 1965; Lovász & Plummer, *Matching Theory*, 1986),
-    so its vertices leave ``alive`` for good.  Each base of the current
+    so its vertices leave ``alive`` for good.  A search's outer vertices
+    are its tree less ``inner``, so a contraction queues the bases still
+    in ``inner`` and no vertex carries a flag.  Each base of the current
     search keeps the vertices it heads as one bitmask, so a contraction
     relabels only the members of the blossom's bases, and a scan masks out
     the inner vertices and the popped vertex's own blossom, which it would
@@ -117,7 +119,7 @@ def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
             w = (cand & -cand).bit_length() - 1
             match[v], match[w] = w, v
             free ^= 1 << v | 1 << w
-    parent, base, used = [-1] * n, list(range(n)), [False] * n
+    parent, base = [-1] * n, list(range(n))
     barrier = 0
 
     def lca(a: int, b: int) -> int:
@@ -143,10 +145,9 @@ def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
 
     def try_augment(root: int) -> None:
         nonlocal alive, barrier
-        tree = 1 << root  # the vertices this search marks used or gives a parent
+        tree = 1 << root  # the vertices this search queued or gave a parent
         inner = 0  # the vertices with a parent that no blossom has absorbed
         bits: dict[int, int] = {}  # base -> its vertices as a bitmask, once more than itself
-        used[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -168,8 +169,7 @@ def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
                         for i in _bits(absorbed):
                             base[i] = cur
                         mask |= absorbed
-                        if not used[b]:  # an inner vertex, so it heads only itself
-                            used[b] = True
+                        if inner >> b & 1:  # it heads only itself and turns outer
                             queue.append(b)
                     bits[cur] = mask
                     inner &= ~mask
@@ -183,10 +183,9 @@ def _blossom(gr: SimpleGraph) -> tuple[list[int], int]:
                             match[to], match[pv] = pv, to
                             to = nxt
                         for i in _bits(tree):
-                            used[i], parent[i], base[i] = False, -1, i
+                            parent[i], base[i] = -1, i
                         return
                     tree |= 1 << match[to]
-                    used[match[to]] = True
                     queue.append(match[to])
         alive &= ~tree  # a Hungarian tree: retired without resetting its labels
         barrier |= inner
@@ -448,13 +447,11 @@ def _gadget(g: Group) -> tuple[SimpleGraph, list[int], int]:
     nodes = [0] * len(comparable)
     for u, i in enumerate(node_class):
         nodes[i] |= 1 << u
-    present = sum(1 << i for i, mask in enumerate(nodes) if mask)
-    rows = {}
-    for i in _bits(present):
-        row = 0
-        for j in _bits(comparable[i] & present & ~(1 << i)):
-            row |= nodes[j]
-        rows[i] = row
+    rows = [0] * len(comparable)
+    for i, mask in enumerate(nodes):
+        if mask:
+            for j in _bits(comparable[i] & ~(1 << i)):
+                rows[i] |= nodes[j]
     gadget = SimpleGraph(len(node_class))
     gadget.adj = [rows[i] | (1 << (u ^ 1) if u < first_end else 0)
                   for u, i in enumerate(node_class)]

@@ -209,6 +209,14 @@ def test_critical_false_for_k6(capsys, k6_file):
     assert payload["witness"] is None
 
 
+def test_critical_on_an_empty_pattern_exits_2(capsys, tmp_path):
+    path = tmp_path / "empty.graph"
+    path.write_text("0 0\n")
+    code, out, err = run(capsys, "critical", str(path))
+    assert (code, out) == (2, "")
+    assert "at least one vertex" in err
+
+
 def test_critical_kst(capsys):
     code, out, _ = run(capsys, "critical-kst", "6", "6")
     assert (code, out) == (1, "false\n")

@@ -471,6 +471,11 @@ def test_is_power_critical():
         assert res.critical, n
 
 
+def test_is_power_critical_refuses_an_empty_pattern():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        is_power_critical(SimpleGraph(0))
+
+
 def test_apex_one_factor_embeds_into_every_odd_group():
     for order in (3, 5, 7, 9, 11, 13, 15):
         n = (order - 1) // 2

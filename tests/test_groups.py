@@ -636,6 +636,13 @@ def test_prime_order_subgroups():
         unique_subgroup_of_prime_order(d8, 1)
 
 
+def test_empty_orders_are_refused():
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        catalog_for_order(0)
+    with pytest.raises(ValueError, match="empty multiplication table"):
+        Group([], "empty")
+
+
 def test_generalized_quaternion_detector():
     for spec in ("Q8", "Q16", "Q32", "Dic2"):
         assert is_generalized_quaternion(construct_group(spec)), spec

@@ -3,6 +3,7 @@ cover extraction, and the three-way equivalence checker."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import json
@@ -346,6 +347,27 @@ def test_matching_from_cover_rejects_bad_covers():
         matching_from_path_cover(q8, ((2, 5),))
 
 
+def test_matching_from_cover_rejects_overlapping_paths():
+    # Ab[2,6] has the involutions 3, 6 and 9, so a cover has two paths; the
+    # first is inverse-closed, and the second steps through its element 2
+    g = construct_group("Ab[2,6]")
+    cover = ((0, 5, 4, 2, 1, 3), (6, 8, 2, 7, 9))
+    assert all(g.has_edge(a, b) for p in cover for a, b in zip(p, p[1:]))
+    with pytest.raises(ValueError, match=r"paths overlap at \[2\]"):
+        matching_from_path_cover(g, cover)
+
+
+def test_validate_rejects_a_non_edge():
+    # the reflections 4 and 5 of D8 are involutions in distinct cyclic
+    # subgroups, so neither is a power of the other
+    g = construct_group("D8")
+    assert g.orders[4] == g.orders[5] == 2
+    with pytest.raises(ValueError, match=r"\(4, 5\) not present"):
+        Matching.from_edges([(4, 5)]).validate(g)
+    with pytest.raises(ValueError, match=r"\(4, 5\) not present"):
+        Matching.from_edges([(4, 5)]).validate(power_graph(g).graph)
+
+
 def test_shortest_identity_free_paths():
     # Ab[2,6] has the involutions 3, 6 and 9.  A path from 6 to 9 with
     # fewer than 2 interior vertices fails the checks (ValueError) before
@@ -539,6 +561,28 @@ def test_identity_barrier_agrees_with_the_blossom_at_the_cap(spec, monkeypatch):
     assert check_theorem44(g) == matching.Theorem44Report(False, None, None, (0,))
     assert calls == []
     assert not maximum_matching(power_graph(g).graph).is_perfect(g.n)
+
+
+def test_blossom_and_theorem44_outputs_unchanged():
+    # the blossom's partner row and barrier on the power graph of every
+    # catalog group of order <= 64 and on 300 G(n, p) graphs, then the
+    # check_theorem44 report of every even catalog group of order <= 128; a
+    # change of scan order, contraction or tree bookkeeping that moves any
+    # matched pair, barrier vertex or printed certificate changes this
+    h = hashlib.sha256()
+    for m in range(1, 65):
+        for g in catalog_for_order(m).groups:
+            h.update(f"{matching._blossom(power_graph(g).graph)}\n".encode())
+    rng = random.Random(34)
+    for _ in range(300):
+        n, p = rng.randint(1, 29), rng.choice((0.1, 0.3, 0.5, 0.8))
+        gr = SimpleGraph(n, [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < p])
+        h.update(f"{matching._blossom(gr)}\n".encode())
+    for m in range(2, 129, 2):
+        for g in catalog_for_order(m).groups:
+            h.update(f"{check_theorem44(g)!r}\n".encode())
+    assert h.hexdigest()[:16] == "50624691db9127aa"
 
 
 def test_serialization_shapes():

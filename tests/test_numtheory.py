@@ -158,6 +158,11 @@ def test_order_predicates():
         nt.is_twice_odd_prime(0)
 
 
+def test_theta_kn_criterion_refuses_zero():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        nt.theta_kn_equals_nplus1(0)
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(31):

@@ -83,6 +83,36 @@ def test_chi_suite_rejects_a_bad_witness(monkeypatch, witness):
     assert claim.counterexample.startswith("n=6: witness")
 
 
+@pytest.mark.parametrize("n, forged, counterexample", [
+    (6, 6, "n=6: chi=6"),      # chi(n) = n off the prime powers
+    (7, 8, "n=7: chi=8"),      # chi(n) > n
+    (12, 11, "n=12: chi=11"),  # chi(n) = n - 1 off twice an odd prime
+])
+def test_chi_suite_rejects_a_bad_bound(monkeypatch, n, forged, counterexample):
+    real = verify_module.chi
+    monkeypatch.setattr(verify_module, "chi", lambda m: forged if m == n else real(m))
+    claim = verify_suite("chi", 16, progress=io.StringIO()).claims[2]
+    assert claim.claim == "chi-bounds"
+    assert not claim.passed and claim.instances == n - 1
+    assert claim.counterexample == counterexample
+
+
+def test_matching_suite_rejects_a_near_perfect_matching_off_the_graph(monkeypatch):
+    # in Ab[3,3] the elements 1 and 3 of order 3 generate distinct subgroups
+    real = verify_module.near_perfect_matching_odd
+
+    def forged(g):
+        if g.label == "Ab[3,3]":
+            return matching_module.Matching.from_edges([(1, 3)])
+        return real(g)
+
+    monkeypatch.setattr(verify_module, "near_perfect_matching_odd", forged)
+    claim = verify_suite("matching", 9, progress=io.StringIO()).claims[2]
+    assert claim.claim == "matching-odd-near-perfect"
+    assert not claim.passed
+    assert claim.counterexample == "Ab[3,3]: matching edge (1, 3) not present in the graph"
+
+
 def test_thm44_suite_fails_on_a_cover_missing_a_path(monkeypatch):
     real = matching_module._lift
 
